@@ -1,7 +1,7 @@
 """Benchmark: engine throughput with regression gates.
 
 Unlike the figure benchmarks (which reproduce paper results), this one
-guards the engine's *speed* along two axes:
+guards the engine's *speed* along three axes:
 
 * ``engine`` — single-scenario tick-loop throughput: the canonical
   HEB-D x PR run on the default six-server prototype configuration,
@@ -12,8 +12,14 @@ guards the engine's *speed* along two axes:
   sweep is replayed sequentially through the scalar engine as a
   bit-exactness oracle (every ``RunResult`` must compare equal) and to
   record an honest batched-vs-scalar speedup.
+* ``pilot`` — cold pilot-run PAT seeding: the HEB-D (dense grid) and
+  HEB-S (coarse grid) tables for the default buffer, seeded with the
+  policy seed cache cleared, as every fresh process pays it, reported
+  as seedings/s (one seeding = one HEB-D plus one HEB-S table).  The seeded entries must equal the frozen scalar
+  pilot's (``tests/core/pilot_oracle.py``), which is also timed once for
+  the recorded speedup.
 
-Both measurements land in ``benchmarks/BENCH_engine.json`` and fail
+All measurements land in ``benchmarks/BENCH_engine.json`` and fail
 when throughput regresses more than 30% below the matching section of
 ``benchmarks/BENCH_baseline.json``.
 
@@ -29,14 +35,16 @@ from __future__ import annotations
 import itertools
 from time import perf_counter
 
-from repro.core import make_policy
+from repro.core import PowerAllocationTable, make_policy, policies
 from repro.core.policies import POLICY_NAMES
 from repro.runner.request import (ExperimentSetup, RunRequest,
                                   build_simulation, execute_request)
 from repro.sim import HybridBuffers, Simulation
 from repro.sim.batch import BatchSimulation
+from repro.storage import LeadAcidBattery, Supercapacitor
 from repro.units import hours
 from repro.workloads import get_workload
+from tests.core.pilot_oracle import oracle_seed_entries
 
 from .gate import (
     digest,
@@ -63,6 +71,14 @@ BATCH_SEEDS = range(1, 7)
 BATCH_SCENARIOS = 256
 BATCH_DURATION_H = 0.5
 BATCH_ROUNDS = 3
+
+#: Cold seedings timed per pilot measurement (best round is kept).
+PILOT_ROUNDS = 3
+#: The grids ``make_policy`` seeds each scheme's PAT over, and the step
+#: it seeds with (``policies._build_seeded_pat``).
+PILOT_GRIDS = {"HEB-D": policies._DENSE_GRID,
+               "HEB-S": policies._COARSE_GRID}
+PILOT_DT = 10.0
 
 
 def _config_hash(setup: ExperimentSetup) -> str:
@@ -213,3 +229,82 @@ def test_batched_sweep_throughput():
             f"{request.setup.seed} diverged from the scalar oracle")
 
     enforce_gate("batch", measurement, "scenarios_per_s", "scenarios/s")
+
+
+def _pilot_config_hash(setup: ExperimentSetup) -> str:
+    payload = {"grids": PILOT_GRIDS, "dt": PILOT_DT}
+    payload.update(sizing_payload(setup))
+    return digest(payload)
+
+
+def _rows(pat: PowerAllocationTable) -> list:
+    return [(e.sc_energy_j, e.battery_energy_j, e.power_w, e.r_lambda)
+            for e in pat.entries()]
+
+
+def _oracle_rows(hybrid, grid: dict) -> list:
+    """The PAT rows the frozen scalar pilot seeds for ``grid``."""
+    sc_config = hybrid.supercap.scaled_to_energy(hybrid.sc_energy_j)
+    battery_config = hybrid.battery.scaled_to_energy(
+        hybrid.battery_energy_j)
+    pat = PowerAllocationTable()
+    for row in oracle_seed_entries(
+            lambda: Supercapacitor(sc_config),
+            lambda: LeadAcidBattery(battery_config),
+            hybrid.sc_energy_j, hybrid.battery_energy_j,
+            soc_levels=grid["soc_levels"],
+            power_levels_w=grid["power_levels_w"], dt=PILOT_DT):
+        pat.add(*row, source="profile")
+    return _rows(pat)
+
+
+def _measure_pilot() -> tuple[dict, dict, dict]:
+    setup = ExperimentSetup()
+    hybrid = setup.hybrid()
+    make_policy("HEB-S", hybrid)  # warm-up: imports, numpy caches
+
+    best: dict = {}
+    seeded = {}
+    for _ in range(PILOT_ROUNDS):
+        for scheme in PILOT_GRIDS:
+            policies._SEED_CACHE.clear()
+            start = perf_counter()
+            policy = make_policy(scheme, hybrid)
+            wall = perf_counter() - start
+            best[scheme] = min(wall, best.get(scheme, wall))
+            seeded[scheme] = _rows(policy.pat)
+
+    start = perf_counter()
+    oracle = {scheme: _oracle_rows(hybrid, grid)
+              for scheme, grid in PILOT_GRIDS.items()}
+    scalar_wall = perf_counter() - start
+
+    wall = best["HEB-D"] + best["HEB-S"]
+    measurement = {
+        "rounds": PILOT_ROUNDS,
+        "dt": PILOT_DT,
+        "heb_d_s": round(best["HEB-D"], 6),
+        "heb_s_s": round(best["HEB-S"], 6),
+        "wall_s": round(wall, 6),
+        "seedings_per_s": round(1.0 / wall, 3),
+        "scalar_wall_s": round(scalar_wall, 6),
+        "speedup_vs_scalar": round(scalar_wall / wall, 2),
+        "config_hash": _pilot_config_hash(setup),
+    }
+    return measurement, seeded, oracle
+
+
+def test_pilot_seeding_throughput():
+    measurement, seeded, oracle = _measure_pilot()
+    write_section("pilot", measurement)
+    print()
+    print(f"pilot seeding: {measurement['seedings_per_s']:.2f} cold "
+          f"HEB-D+HEB-S seedings/s (HEB-D {measurement['heb_d_s']:.3f} s, "
+          f"HEB-S {measurement['heb_s_s']:.3f} s; "
+          f"{measurement['speedup_vs_scalar']:.2f}x vs the scalar pilot)")
+
+    # Correctness anchor: the lane pilot seeds exactly the scalar
+    # pilot's tables.
+    assert seeded == oracle
+
+    enforce_gate("pilot", measurement, "seedings_per_s", "seedings/s")

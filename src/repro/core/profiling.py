@@ -8,24 +8,133 @@ optimum exists because leaning too hard on either device wastes the other
 
 These routines run the same experiment against the device models, both to
 regenerate Figure 6 and to seed :class:`PowerAllocationTable` instances.
+Every pilot case — one (SC state, battery state, mismatch, ratio)
+combination — is a lane of the batched storage models
+(:class:`~repro.storage.batch.BatchSupercap`,
+:class:`~repro.storage.batch.BatchBattery`), and :func:`pilot_runtimes`
+advances all of them through one vectorized step loop whose per-lane
+arithmetic is bit-identical to discharging the scalar devices.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Sequence, Tuple, Type,
+                    TypeVar)
+
+import numpy as np
 
 from ..errors import ConfigurationError
-from ..storage.device import EnergyStorageDevice
+from ..storage.batch import BatchBattery, BatchSupercap
+from ..storage.battery import LeadAcidBattery
+from ..storage.supercap import Supercapacitor
 from ..units import hours
 from .pat import PowerAllocationTable
 
-DeviceFactory = Callable[[], EnergyStorageDevice]
+SupercapFactory = Callable[[], Supercapacitor]
+BatteryFactory = Callable[[], LeadAcidBattery]
+
+#: One pilot case: ``(sc_soc, battery_soc, deficit_w, r_lambda)``.
+PilotLane = Tuple[float, float, float, float]
 
 _EPSILON = 1e-9
 
+_DeviceT = TypeVar("_DeviceT", Supercapacitor, LeadAcidBattery)
 
-def runtime_for_ratio(sc_factory: DeviceFactory,
-                      battery_factory: DeviceFactory,
+
+def _lane_devices(factory: Callable[[], _DeviceT], kind: Type[_DeviceT],
+                  socs: Sequence[float]) -> List[_DeviceT]:
+    """One fresh ``factory`` device per lane, reset to that lane's SoC."""
+    lanes = []
+    for soc in socs:
+        device = factory()
+        if not isinstance(device, kind):
+            raise ConfigurationError(
+                f"pilot runs need a {kind.__name__} factory, got a "
+                f"{type(device).__name__}")
+        device.reset(soc)
+        lanes.append(device)
+    return lanes
+
+
+def pilot_runtimes(sc_factory: SupercapFactory,
+                   battery_factory: BatteryFactory,
+                   lanes: Sequence[PilotLane],
+                   dt: float = 5.0,
+                   max_time_s: float = hours(4.0)) -> List[float]:
+    """Sustained runtime of every pilot case, advanced together.
+
+    In each lane the SC pool serves ``r_lambda * deficit_w`` and the
+    battery pool the rest; when either pool cannot meet its share, the
+    other immediately takes over the shortfall ("whenever one energy
+    storage device is depleted, the other will take over the entire load
+    immediately via power switches", Section 3.2).  A lane's runtime ends
+    when its combined pools first fail to cover the deficit, or at
+    ``max_time_s``; finished lanes are masked out of later steps.
+    """
+    for __, __, deficit_w, r_lambda in lanes:
+        if deficit_w <= 0:
+            raise ConfigurationError("deficit must be positive")
+        if not 0.0 <= r_lambda <= 1.0:
+            raise ConfigurationError("r_lambda must lie in [0, 1]")
+    if not lanes:
+        return []
+    sc_socs, battery_socs, deficits, ratios = zip(*lanes)
+    supercap = BatchSupercap(
+        _lane_devices(sc_factory, Supercapacitor, sc_socs), dt)
+    battery = BatchBattery(
+        _lane_devices(battery_factory, LeadAcidBattery, battery_socs), dt)
+
+    deficit = np.array(deficits, dtype=float)
+    sc_share = np.array(ratios, dtype=float) * deficit
+    ba_share = deficit - sc_share
+    sc_on = sc_share > _EPSILON
+    ba_on = ba_share > _EPSILON
+    n = len(lanes)
+    runtime = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    elapsed = 0.0
+    while elapsed < max_time_s and alive.any():
+        sc_unmet = supercap.telemetry.unmet_requests
+        ba_unmet = battery.telemetry.unmet_requests
+        sc_achieved = supercap.discharge(alive & sc_on, sc_share, dt)
+        ba_achieved, __ = battery.discharge(alive & ba_on, ba_share, dt)
+        delivered = sc_achieved + ba_achieved
+        # The batched models count exactly the scalar ``limited`` flows
+        # as unmet requests (and nothing off their mask).
+        sc_limited = supercap.telemetry.unmet_requests != sc_unmet
+        ba_limited = battery.telemetry.unmet_requests != ba_unmet
+
+        # Fail-over: the other pool takes the remainder.  The four masks
+        # are the scalar elif chain (SC limited, battery limited, no SC
+        # share, no battery share), first match wins.
+        shortfall = deficit - delivered
+        short = alive & (shortfall > 1e-6)
+        sc_failed = short & sc_limited
+        rest = short & ~sc_failed
+        ba_failed = rest & ba_limited
+        rest = rest & ~ba_failed
+        sc_idle = rest & ~sc_on
+        ba_idle = rest & sc_on & ~ba_on
+        to_battery = sc_failed | ba_idle
+        to_supercap = ba_failed | sc_idle
+        if to_battery.any():
+            achieved, __ = battery.discharge(
+                to_battery, np.where(to_battery, shortfall, 0.0), dt)
+            delivered = delivered + achieved
+        if to_supercap.any():
+            delivered = delivered + supercap.discharge(
+                to_supercap, np.where(to_supercap, shortfall, 0.0), dt)
+
+        failed = alive & (deficit - delivered > 1e-6)
+        runtime[failed] = elapsed
+        alive = alive & ~failed
+        elapsed += dt
+    runtime[alive] = elapsed
+    return runtime.tolist()
+
+
+def runtime_for_ratio(sc_factory: SupercapFactory,
+                      battery_factory: BatteryFactory,
                       deficit_w: float,
                       r_lambda: float,
                       sc_soc: float = 1.0,
@@ -34,60 +143,23 @@ def runtime_for_ratio(sc_factory: DeviceFactory,
                       max_time_s: float = hours(4.0)) -> float:
     """Sustained runtime for one (state, mismatch, ratio) combination.
 
-    The SC pool serves ``r_lambda * deficit_w`` and the battery pool the
-    rest; when either pool cannot meet its share, the other immediately
-    takes over the shortfall ("whenever one energy storage device is
-    depleted, the other will take over the entire load immediately via
-    power switches", Section 3.2).  Runtime ends when the combined pools
-    first fail to cover the deficit.
+    A single-lane :func:`pilot_runtimes`.
     """
-    if deficit_w <= 0:
-        raise ConfigurationError("deficit must be positive")
-    if not 0.0 <= r_lambda <= 1.0:
-        raise ConfigurationError("r_lambda must lie in [0, 1]")
-    supercap = sc_factory()
-    battery = battery_factory()
-    supercap.reset(sc_soc)
-    battery.reset(battery_soc)
-
-    elapsed = 0.0
-    while elapsed < max_time_s:
-        sc_share = r_lambda * deficit_w
-        ba_share = deficit_w - sc_share
-
-        delivered = 0.0
-        sc_result = ba_result = None
-        if sc_share > _EPSILON:
-            sc_result = supercap.discharge(sc_share, dt)
-            delivered += sc_result.achieved_w
-        if ba_share > _EPSILON:
-            ba_result = battery.discharge(ba_share, dt)
-            delivered += ba_result.achieved_w
-
-        shortfall = deficit_w - delivered
-        if shortfall > 1e-6:
-            # Fail-over: the other pool takes the remainder.
-            if sc_result is not None and sc_result.limited:
-                takeover = battery.discharge(shortfall, dt)
-                delivered += takeover.achieved_w
-            elif ba_result is not None and ba_result.limited:
-                takeover = supercap.discharge(shortfall, dt)
-                delivered += takeover.achieved_w
-            elif sc_share <= _EPSILON:
-                takeover = supercap.discharge(shortfall, dt)
-                delivered += takeover.achieved_w
-            elif ba_share <= _EPSILON:
-                takeover = battery.discharge(shortfall, dt)
-                delivered += takeover.achieved_w
-
-        if deficit_w - delivered > 1e-6:
-            break
-        elapsed += dt
-    return elapsed
+    return pilot_runtimes(sc_factory, battery_factory,
+                          [(sc_soc, battery_soc, deficit_w, r_lambda)],
+                          dt=dt, max_time_s=max_time_s)[0]
 
 
-def profile_optimal_ratio(sc_factory: DeviceFactory,
-                          battery_factory: DeviceFactory,
+def _best_ratio(ratios: Sequence[float],
+                runtimes: Sequence[float]) -> Tuple[float, Dict[float, float]]:
+    """The longest-runtime ratio (ties go to the split nearest 0.5)."""
+    by_ratio = dict(zip(ratios, runtimes))
+    best = max(by_ratio, key=lambda r: (by_ratio[r], -abs(r - 0.5)))
+    return best, by_ratio
+
+
+def profile_optimal_ratio(sc_factory: SupercapFactory,
+                          battery_factory: BatteryFactory,
                           deficit_w: float,
                           ratios: Sequence[float] = tuple(
                               i / 10.0 for i in range(11)),
@@ -102,18 +174,16 @@ def profile_optimal_ratio(sc_factory: DeviceFactory,
     """
     if not ratios:
         raise ConfigurationError("need at least one ratio to profile")
-    runtimes: Dict[float, float] = {}
-    for ratio in ratios:
-        runtimes[ratio] = runtime_for_ratio(
-            sc_factory, battery_factory, deficit_w, ratio,
-            sc_soc=sc_soc, battery_soc=battery_soc, dt=dt)
-    best = max(runtimes, key=lambda r: (runtimes[r], -abs(r - 0.5)))
-    return best, runtimes
+    runtimes = pilot_runtimes(
+        sc_factory, battery_factory,
+        [(sc_soc, battery_soc, deficit_w, ratio) for ratio in ratios],
+        dt=dt)
+    return _best_ratio(ratios, runtimes)
 
 
 def seed_pat(pat: PowerAllocationTable,
-             sc_factory: DeviceFactory,
-             battery_factory: DeviceFactory,
+             sc_factory: SupercapFactory,
+             battery_factory: BatteryFactory,
              sc_nominal_j: float,
              battery_nominal_j: float,
              soc_levels: Iterable[float] = (0.34, 0.67, 1.0),
@@ -124,17 +194,24 @@ def seed_pat(pat: PowerAllocationTable,
 
     Returns the number of entries written.  A denser grid gives HEB-D its
     head start; HEB-S deliberately uses a much coarser grid ("a static
-    profiling table that has limited entries").
+    profiling table that has limited entries").  The whole grid — every
+    cell times every ratio — runs as one :func:`pilot_runtimes` call.
     """
-    count = 0
-    for sc_soc in soc_levels:
-        for battery_soc in soc_levels:
-            for power_w in power_levels_w:
-                best, __ = profile_optimal_ratio(
-                    sc_factory, battery_factory, power_w, ratios=ratios,
-                    sc_soc=sc_soc, battery_soc=battery_soc, dt=dt)
-                pat.add(sc_soc * sc_nominal_j,
-                        battery_soc * battery_nominal_j,
-                        power_w, best, source="profile")
-                count += 1
-    return count
+    socs = tuple(soc_levels)
+    powers = tuple(power_levels_w)
+    cells = [(sc_soc, battery_soc, power_w)
+             for sc_soc in socs
+             for battery_soc in socs
+             for power_w in powers]
+    if cells and not ratios:
+        raise ConfigurationError("need at least one ratio to profile")
+    runtimes = pilot_runtimes(
+        sc_factory, battery_factory,
+        [cell + (ratio,) for cell in cells for ratio in ratios], dt=dt)
+    width = len(ratios)
+    for index, (sc_soc, battery_soc, power_w) in enumerate(cells):
+        best, __ = _best_ratio(
+            ratios, runtimes[index * width:(index + 1) * width])
+        pat.add(sc_soc * sc_nominal_j, battery_soc * battery_nominal_j,
+                power_w, best, source="profile")
+    return len(cells)

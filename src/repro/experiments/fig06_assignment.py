@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..config import prototype_battery, prototype_buffer, prototype_supercap
-from ..core.profiling import runtime_for_ratio
+from ..core.profiling import pilot_runtimes
 from ..storage import LeadAcidBattery, Supercapacitor
 
 
@@ -37,13 +37,13 @@ def run_fig06(per_server_power_w: float = 55.0,
     battery_config = prototype_battery().scaled_to_energy(
         hybrid.battery_energy_j)
     deficit = per_server_power_w * num_servers
+    ratios = [on_sc / num_servers for on_sc in range(num_servers + 1)]
+    runtimes = pilot_runtimes(
+        lambda: Supercapacitor(sc_config),
+        lambda: LeadAcidBattery(battery_config),
+        [(1.0, 1.0, deficit, ratio) for ratio in ratios], dt=dt)
     points: Dict[int, AssignmentPoint] = {}
-    for on_sc in range(num_servers + 1):
-        ratio = on_sc / num_servers
-        runtime = runtime_for_ratio(
-            lambda: Supercapacitor(sc_config),
-            lambda: LeadAcidBattery(battery_config),
-            deficit_w=deficit, r_lambda=ratio, dt=dt)
+    for on_sc, (ratio, runtime) in enumerate(zip(ratios, runtimes)):
         points[on_sc] = AssignmentPoint(servers_on_sc=on_sc,
                                         r_lambda=ratio, runtime_s=runtime)
     return points

@@ -60,9 +60,13 @@ class ResultCache:
         path = self._path(key)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-            return result_from_dict(payload)
+            # Valid JSON that is not an object ([], null, 3, "x") is a
+            # corrupt entry too.
+            if isinstance(payload, dict):
+                return result_from_dict(payload)
         except (OSError, ValueError):
-            return None
+            pass
+        return None
 
     def put(self, key: str, result: RunResult) -> None:
         """Store a result atomically under ``key``."""

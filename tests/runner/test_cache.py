@@ -94,6 +94,15 @@ class TestResultCache:
         (tmp_path / "ef" / f"{key}.json").write_text("{not json")
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize("text", ["[]", "null", "3", '"x"', "true"])
+    def test_non_object_entry_reads_as_miss(self, tmp_path, sample_result,
+                                            text):
+        cache = ResultCache(tmp_path)
+        key = "ee" + "5" * 62
+        cache.put(key, sample_result)
+        (tmp_path / "ee" / f"{key}.json").write_text(text)
+        assert cache.get(key) is None
+
     def test_wrong_format_version_reads_as_miss(self, tmp_path,
                                                 sample_result):
         cache = ResultCache(tmp_path)

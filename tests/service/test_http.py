@@ -11,7 +11,10 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.service import ServiceClient
+import pytest
+
+from repro.runner import ResultCache, cache_key
+from repro.service import ServiceClient, request_from_spec
 
 from .conftest import make_service, run_async, start_server
 
@@ -158,3 +161,32 @@ def test_stats_counts_reflect_traffic():
         await server.close()
 
     run_async(scenario())
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "3"])
+def test_non_object_cache_entry_is_recomputed_not_dropped(tmp_path, text):
+    """A cache entry that is valid JSON but not an object reads as a miss:
+    ``POST /runs`` answers with a structured body and the run executes."""
+    cache = ResultCache(tmp_path)
+    spec = _spec(seed=11)
+    key = cache_key(request_from_spec(spec))
+    path = tmp_path / key[:2] / f"{key}.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+
+    async def scenario():
+        service = make_service(cache=cache)
+        server = await start_server(service)
+        client = ServiceClient(server.host, server.port)
+        try:
+            status, _, body = await client.submit(spec)
+            assert status in (200, 202)
+            assert body["key"] == key
+            snapshot, _ = await client.submit_and_wait(spec)
+            assert snapshot["status"] == "done"
+        finally:
+            await client.close()
+        await server.close()
+
+    run_async(scenario())
+    assert cache.get(key) is not None
