@@ -18,6 +18,13 @@ guards the engine's *speed* along three axes:
   as seedings/s (one seeding = one HEB-D plus one HEB-S table).  The seeded entries must equal the frozen scalar
   pilot's (``tests/core/pilot_oracle.py``), which is also timed once for
   the recorded speedup.
+* ``faults`` — fault-storm sweep throughput: every policy x every
+  workload under the ``resilience`` storm at two intensities (96
+  scenarios), run as one batched group the way the runner executes it,
+  reported as scenarios/s.  Every lane must equal scalar
+  ``execute_request`` (injector included); the same scenarios without
+  their schedules are timed too, so the faulted rate is reported next
+  to the clean batched rate (the target is within 2x).
 
 All measurements land in ``benchmarks/BENCH_engine.json`` and fail
 when throughput regresses more than 30% below the matching section of
@@ -32,11 +39,14 @@ to measure without enforcing (e.g. on a loaded machine).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from time import perf_counter
 
 from repro.core import PowerAllocationTable, make_policy, policies
 from repro.core.policies import POLICY_NAMES
+from repro.experiments.resilience import fault_schedule_for
+from repro.runner.batch import execute_request_group
 from repro.runner.request import (ExperimentSetup, RunRequest,
                                   build_simulation, execute_request)
 from repro.sim import HybridBuffers, Simulation
@@ -79,6 +89,14 @@ PILOT_ROUNDS = 3
 PILOT_GRIDS = {"HEB-D": policies._DENSE_GRID,
                "HEB-S": policies._COARSE_GRID}
 PILOT_DT = 10.0
+
+
+#: The fault-storm sweep: every policy x every workload x these
+#: ``fault_schedule_for`` intensities, one batched group.
+FAULT_INTENSITIES = (0.5, 1.0)
+FAULT_DURATION_H = 0.5
+FAULT_SEED = 1
+FAULT_ROUNDS = 3
 
 
 def _config_hash(setup: ExperimentSetup) -> str:
@@ -308,3 +326,96 @@ def test_pilot_seeding_throughput():
     assert seeded == oracle
 
     enforce_gate("pilot", measurement, "seedings_per_s", "seedings/s")
+
+
+def _fault_requests() -> list:
+    setup = ExperimentSetup(duration_h=FAULT_DURATION_H, seed=FAULT_SEED)
+    duration_s = hours(FAULT_DURATION_H)
+    return [
+        RunRequest(scheme, workload, setup=setup,
+                   faults=fault_schedule_for(intensity, duration_s,
+                                             seed=FAULT_SEED))
+        for scheme in POLICY_NAMES for workload in WORKLOADS
+        for intensity in FAULT_INTENSITIES
+    ]
+
+
+def _faults_config_hash(requests) -> str:
+    payload = {
+        "duration_h": FAULT_DURATION_H,
+        "scenarios": [[r.scheme, r.workload, r.faults.to_dict()]
+                      for r in requests],
+    }
+    payload.update(sizing_payload(requests[0].setup))
+    return digest(payload)
+
+
+def _best_group_wall(requests, rounds: int) -> tuple[float, list]:
+    """Best wall of ``rounds`` cold batched executions (build + run)."""
+    best_wall = None
+    results: list = []
+    for _ in range(rounds):
+        start = perf_counter()
+        results = execute_request_group(requests)
+        wall = perf_counter() - start
+        if best_wall is None or wall < best_wall:
+            best_wall = wall
+    return best_wall, results
+
+
+def _measure_faults() -> tuple[dict, list, list]:
+    requests = _fault_requests()
+    clean = [dataclasses.replace(request, faults=None)
+             for request in requests]
+
+    # Warm-up: policy seeding is memoized per scheme (see the batch
+    # section).
+    for scheme in POLICY_NAMES:
+        execute_request(RunRequest(
+            scheme=scheme, workload="WS",
+            setup=ExperimentSetup(duration_h=1.0 / 60.0)))
+
+    wall, batched = _best_group_wall(requests, FAULT_ROUNDS)
+    clean_wall, _ = _best_group_wall(clean, FAULT_ROUNDS)
+
+    start = perf_counter()
+    scalar = [execute_request(request) for request in requests]
+    scalar_wall = perf_counter() - start
+
+    measurement = {
+        "scenarios": len(requests),
+        "duration_h": FAULT_DURATION_H,
+        "intensities": list(FAULT_INTENSITIES),
+        "rounds": FAULT_ROUNDS,
+        "wall_s": round(wall, 6),
+        "scenarios_per_s": round(len(requests) / wall, 2),
+        "clean_wall_s": round(clean_wall, 6),
+        "clean_scenarios_per_s": round(len(requests) / clean_wall, 2),
+        "faulted_vs_clean": round(clean_wall / wall, 3),
+        "scalar_wall_s": round(scalar_wall, 6),
+        "speedup_vs_scalar": round(scalar_wall / wall, 2),
+        "config_hash": _faults_config_hash(requests),
+    }
+    return measurement, batched, scalar
+
+
+def test_fault_sweep_throughput():
+    measurement, batched, scalar = _measure_faults()
+    write_section("faults", measurement)
+    print()
+    print(f"fault-storm sweep: {measurement['scenarios_per_s']:,.1f} "
+          f"scenarios/s batched ({measurement['scenarios']} scenarios; "
+          f"clean batched {measurement['clean_scenarios_per_s']:,.1f}/s, "
+          f"ratio {measurement['faulted_vs_clean']:.2f}; "
+          f"{measurement['speedup_vs_scalar']:.2f}x vs scalar)")
+
+    # Correctness anchor: every faulted lane equals the scalar engine
+    # with its injector.
+    requests = _fault_requests()
+    assert len(batched) == len(scalar) == len(requests)
+    for request, got, want in zip(requests, batched, scalar):
+        assert got == want, (
+            f"{request.scheme} x {request.workload} under "
+            f"{request.faults.to_dict()} diverged from the scalar oracle")
+
+    enforce_gate("faults", measurement, "scenarios_per_s", "scenarios/s")

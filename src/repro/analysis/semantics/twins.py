@@ -191,13 +191,12 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
             "internal_resistance_ohm": "captured as a constant lane "
                                        "array and inlined into the "
                                        "batch voltage arithmetic",
-            "age_fraction": "aging is frozen for the duration of a run "
-                            "(captured at construction); throughput "
-                            "rides BatchLifetime and writes back per "
-                            "lane",
-            "apply_aging": "a between-runs mutator; lanes are "
-                           "single-use, so aging lands on the wrapped "
-                           "scalar battery via write_back()",
+            "age_fraction": "captured in the nominal_j lane array, "
+                            "re-read by load_lane() after an aging "
+                            "step",
+            "apply_aging": "rare in-run step: the engine writes the "
+                           "lane back, ages the wrapped scalar battery "
+                           "and re-reads it with load_lane()",
             "config": "lanes share per-lane scalar configs captured as "
                       "constant arrays at construction",
             "telemetry": "per-lane telemetry lives in BatchTelemetry "
@@ -230,14 +229,12 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
             "voltage": "per-lane terminal voltage is internal batch "
                        "state; the scalar accessor is served by the "
                        "wrapped device after write_back()",
-            "esr_ohm": "captured as the constant (lanes,) esr array at "
-                       "construction",
-            "apply_esr_drift": "a between-runs mutator; lanes are "
-                               "single-use and capture ESR at "
-                               "construction",
-            "apply_leakage": "a caller-facing self-discharge hook the "
-                             "engine's settle path never invokes; "
-                             "batch rest() mirrors settle exactly",
+            "esr_ohm": "captured as the (lanes,) esr array, re-read by "
+                       "load_lane() after a drift step",
+            "apply_esr_drift": "rare in-run step: the engine writes the "
+                               "lane back, drifts the wrapped scalar "
+                               "device and re-reads it with "
+                               "load_lane()",
             "config": "lanes share per-lane scalar configs captured as "
                       "constant arrays at construction",
             "telemetry": "per-lane telemetry lives in BatchTelemetry "
@@ -263,6 +260,30 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
         check_attrs=False,
     ),
     TwinPair(
+        scalar="FaultInjector", batch="BatchFaults",
+        aliases={
+            "sc_available": "sc_ok",
+            "battery_available": "ba_ok",
+            "transform_budget": "budget_fraction",
+        },
+        exempt={
+            "schedule": "lanes keep their own injectors; BatchFaults "
+                        "keys shared timelines by injector.schedule",
+            "begin_tick": "the batch loop never steps an injector per "
+                          "tick; advance() installs each lane's "
+                          "timeline change points",
+            "timeline": "consumed by BatchFaults, one per distinct "
+                        "schedule",
+            "apply_step": "advance() runs the lane's own injector step "
+                          "on its written-back scalar devices",
+            "active_classes": "per-lane classes live in the lane's "
+                              "FaultState and the attribution mask",
+            "observe": "BatchFaults.observe(lane, observation) forwards "
+                       "to the lane's own injector, passing the lane's "
+                       "state as the scalar's state argument",
+        },
+    ),
+    TwinPair(
         scalar="IPDU", batch="BatchIPDU",
         aliases={
             "record_array": "record_tick",
@@ -274,10 +295,10 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
                       "slices",
             "set_outlet": "outlet gating rides the cluster state codes "
                           "in the batched engine",
-            "latest": "ring reads never feed results; the batch ring "
-                      "exists only for component fidelity",
-            "history": "ring reads never feed results; the batch ring "
-                       "exists only for component fidelity",
+            "latest": "no result reads the sample history, so the "
+                      "batch IPDU keeps none",
+            "history": "no result reads the sample history, so the "
+                       "batch IPDU keeps none",
         },
         check_attrs=False,
     ),

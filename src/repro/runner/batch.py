@@ -7,9 +7,10 @@ of that while routing *compatible* cache misses through one
 loops:
 
 * requests group by (duration, slot length) — the tick/slot grid the
-  batched engine requires scenarios to share;
-* fault-injected requests never batch (the injector's hook protocol is
-  scalar-only) and run the scalar path unchanged;
+  batched engine requires scenarios to share — whether or not they
+  carry a fault schedule;
+* lanes of one group that would generate the same workload trace (or
+  solar supply) share one read-only copy;
 * a group that still fails the engine's own compatibility validation
   (device banks, wide clusters, ...) falls back to per-request scalar
   execution inside the worker;
@@ -44,11 +45,6 @@ from .request import RunRequest, build_simulation, execute_request
 ExecutionUnit = Tuple[str, Tuple[RunRequest, ...]]
 
 
-def batchable(request: RunRequest) -> bool:
-    """True when ``request`` may join a batched group at all."""
-    return request.faults is None
-
-
 def group_key(request: RunRequest) -> Tuple[float, float]:
     """The shared tick/slot grid a batched group must agree on."""
     controller = request.controller or ControllerConfig()
@@ -71,10 +67,7 @@ def plan_units(requests: Sequence[RunRequest],
     groups: Dict[Tuple[float, float], List[int]] = {}
     singles: List[int] = []
     for index, request in enumerate(requests):
-        if batchable(request):
-            groups.setdefault(group_key(request), []).append(index)
-        else:
-            singles.append(index)
+        groups.setdefault(group_key(request), []).append(index)
 
     units: List[ExecutionUnit] = []
     positions: List[List[int]] = []
@@ -107,8 +100,9 @@ def execute_request_group(requests: Sequence[RunRequest]
     rejects the group; either way results align with ``requests`` and
     are exactly what :func:`execute_request` would have produced.
     """
+    traces: Dict = {}
     try:
-        batch = BatchSimulation([build_simulation(request)
+        batch = BatchSimulation([build_simulation(request, traces=traces)
                                  for request in requests])
     except BatchCompatibilityError:
         return [execute_request(request) for request in requests]
@@ -125,7 +119,6 @@ def execute_unit(unit: ExecutionUnit) -> List[RunResult]:
 
 __all__ = [
     "ExecutionUnit",
-    "batchable",
     "execute_request_group",
     "execute_unit",
     "group_key",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..config import (
     ClusterConfig,
@@ -127,21 +127,38 @@ class RunRequest:
             object.__setattr__(self, "faults", None)
 
 
-def build_simulation(request: RunRequest, profiler=None) -> Simulation:
+def build_simulation(request: RunRequest, profiler=None,
+                     traces: Optional[Dict[Tuple, Any]] = None
+                     ) -> Simulation:
     """Construct the fully-wired :class:`Simulation` for one request.
 
     Shared by :func:`execute_request` (which runs it) and the batched
     runner (which hands a list of them to
     :class:`~repro.sim.batch.BatchSimulation`), so both paths simulate
     the exact same object graph.
+
+    Args:
+        request: The run to build.
+        profiler: Optional tick profiler handed to the engine.
+        traces: Optional memo shared across the simulations of one
+            batch: requests that would generate the same workload trace
+            or solar supply reuse the first one built (traces are
+            read-only, so sharing is invisible to the engine).
     """
+    if traces is None:
+        traces = {}
     setup = request.setup
     cluster = setup.cluster()
     hybrid = setup.hybrid()
     duration_s = hours(setup.duration_h)
-    trace = get_workload(request.workload, duration_s=duration_s,
-                         num_servers=cluster.num_servers,
-                         server=cluster.server, seed=setup.seed)
+    trace_key = ("workload", request.workload, duration_s,
+                 cluster.num_servers, cluster.server, setup.seed)
+    trace = traces.get(trace_key)
+    if trace is None:
+        trace = get_workload(request.workload, duration_s=duration_s,
+                             num_servers=cluster.num_servers,
+                             server=cluster.server, seed=setup.seed)
+        traces[trace_key] = trace
 
     if (request.policy_sc_fraction is not None
             or request.policy_total_wh is not None):
@@ -168,9 +185,14 @@ def build_simulation(request: RunRequest, profiler=None) -> Simulation:
                 if request.faults is not None else None)
 
     if request.renewable:
-        supply = generate_solar_trace(duration_s, config=request.solar,
-                                      seed=setup.seed,
-                                      start_time_s=hours(request.start_hour))
+        supply_key = ("solar", duration_s, request.solar, setup.seed,
+                      request.start_hour)
+        supply = traces.get(supply_key)
+        if supply is None:
+            supply = generate_solar_trace(
+                duration_s, config=request.solar, seed=setup.seed,
+                start_time_s=hours(request.start_hour))
+            traces[supply_key] = supply
         return Simulation(trace, policy, buffers,
                           cluster_config=cluster,
                           controller_config=request.controller,

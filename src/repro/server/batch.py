@@ -231,6 +231,14 @@ class BatchCluster:
             total += float(row[sid])
         return total
 
+    def total_downtime(self) -> np.ndarray:
+        """(lanes,) downtime totals, each summed in server-index order
+        like :meth:`total_downtime_lane`."""
+        total = np.zeros(self.n)
+        for sid in range(self.num_servers):
+            total = total + self.downtime_s[:, sid]
+        return total
+
     def total_restart_energy_lane(self, lane: int) -> float:
         total = 0.0
         row = self.restart_energy_used_j[lane]

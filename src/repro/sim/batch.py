@@ -24,10 +24,24 @@ rather than substituting the NumPy near-equivalent (see
 
 Scenario sets must share the tick grid (trace length, ``dt``, slot
 length) and the cluster shape; anything else — budgets, converter
-efficiencies, policies, workloads, buffer sizings, supplies — may vary
-per lane.  Incompatible sets raise
+efficiencies, policies, workloads, buffer sizings, supplies, fault
+schedules — may vary per lane.  Incompatible sets raise
 :class:`~repro.errors.BatchCompatibilityError`, which the batched
 runner treats as "fall back to scalar".
+
+Fault injection rides the same loop (:class:`BatchFaults`): each
+faulted lane's :class:`~repro.faults.FaultInjector` lays its schedule
+out as constant fault states over the tick grid, and the loop folds
+them in exactly where the scalar engine's hooks fire — budget sags into
+the lane's budget, pool reachability into the scheduler, buffer and
+charge masks, SC leakage as a masked device step, aging and ESR drift
+through the scalar device methods, sensor noise from the lane's own
+RNG at slot boundaries, and downtime attribution per fault class.
+
+Memory does not grow with ticks x lanes: demands and budgets are read
+in blocks of :data:`_BLOCK_TICKS` ticks, the metric accumulators are
+running per-lane sums, and only the current slot's demand totals are
+kept for its analysis.
 """
 
 from __future__ import annotations
@@ -57,6 +71,9 @@ from .results import RunResult, SlotRecord
 #: only below its pairwise-summation threshold (the scalar engine keys
 #: the same fast path on this width).
 _MAX_BATCH_SERVERS = 8
+
+#: Ticks of demand, budget and accumulator rows held at a time.
+_BLOCK_TICKS = 128
 
 #: Charge orders the merged three-call schedule can interleave without
 #: per-group calls: every shipped policy emits one of these.  Any other
@@ -157,11 +174,132 @@ class BatchBuffers:
 
     def write_back(self) -> None:
         """Install final device state into every lane's scalar buffers."""
-        for lane, buf in enumerate(self.scalars):
-            self.battery.write_back(lane, buf.battery)
-            if buf.sc is not None:
-                self.sc.write_back(lane, buf.sc)
-            self.lifetime.write_back(lane, buf.lifetime)
+        for lane in range(self.n):
+            self.write_back_lane(lane)
+
+    def write_back_lane(self, lane: int) -> None:
+        """Install one lane's device state into its scalar buffers."""
+        buf = self.scalars[lane]
+        self.battery.write_back(lane, buf.battery)
+        if buf.sc is not None:
+            self.sc.write_back(lane, buf.sc)
+        self.lifetime.write_back(lane, buf.lifetime)
+
+    def load_lane(self, lane: int) -> None:
+        """Re-read one lane's devices after a scalar method mutated them
+        (the fault path's aging and ESR-drift steps)."""
+        buf = self.scalars[lane]
+        self.battery.load_lane(lane, buf.battery)
+        if buf.sc is not None:
+            self.sc.load_lane(lane, buf.sc)
+
+
+class BatchFaults:
+    """The fault state of every lane, as (lanes,) columns.
+
+    Each faulted lane's injector lays its schedule out as a
+    :func:`~repro.faults.fault_timeline` (lanes with equal schedules
+    share one); the columns change only at the ticks in ``changes``,
+    where some lane's active event set changes.  Clean lanes keep the
+    no-fault values for the whole run and are never attributed
+    downtime.
+    """
+
+    def __init__(self, sims: Sequence[Simulation], num_ticks: int,
+                 dt: float) -> None:
+        n = len(sims)
+        self.injectors = [sim.injector for sim in sims]
+        timelines: Dict = {}
+        #: tick -> [(lane, state, step events)] in lane order.
+        self.changes: Dict[int, List[Tuple[int, object, tuple]]] = {}
+        for lane, injector in enumerate(self.injectors):
+            if injector is None:
+                continue
+            timeline = timelines.get(injector.schedule)
+            if timeline is None:
+                timeline = injector.timeline(num_ticks, dt)
+                timelines[injector.schedule] = timeline
+            for tick, state, steps in timeline:
+                self.changes.setdefault(tick, []).append(
+                    (lane, state, steps))
+        #: Every downtime bucket any lane can charge, sorted by name
+        #: (the order ``FaultInjector.downtime_by_class`` reports).
+        self.kinds: List[str] = sorted({
+            kind for timeline in timelines.values()
+            for _, state, _ in timeline
+            for kind in state.attributed})
+        self.states: List = [None] * n
+        self.budget_fraction = np.ones(n)
+        self.sc_ok = np.ones(n, dtype=bool)
+        self.ba_ok = np.ones(n, dtype=bool)
+        self.leak_w = np.zeros(n)
+        self.any_sag = False
+        self.any_leak = False
+        self._charged_by = np.zeros((n, len(self.kinds)), dtype=bool)
+        self._num_charged = np.ones(n)
+        self.downtime_s = np.zeros((n, len(self.kinds)))
+        self._touched = np.zeros((n, len(self.kinds)), dtype=bool)
+
+    def advance(self, tick: int, buffers: BatchBuffers) -> None:
+        """Install the states that begin at ``tick`` and apply the step
+        events falling due there.
+
+        Aging and ESR drift are rare, so each runs the lane's own
+        injector step on its written-back scalar devices, which the
+        lane then re-reads.
+        """
+        for lane, state, steps in self.changes[tick]:
+            self.states[lane] = state
+            self.budget_fraction[lane] = state.budget_fraction
+            self.sc_ok[lane] = state.sc_available
+            self.ba_ok[lane] = state.battery_available
+            self.leak_w[lane] = state.leakage_w
+            attributed = state.attributed
+            self._charged_by[lane] = [kind in attributed
+                                      for kind in self.kinds]
+            self._num_charged[lane] = len(attributed)
+            if steps:
+                buffers.write_back_lane(lane)
+                for event in steps:
+                    self.injectors[lane].apply_step(
+                        event, buffers.scalars[lane])
+                buffers.load_lane(lane)
+        self.any_sag = bool(np.count_nonzero(self.budget_fraction < 1.0))
+        self.any_leak = bool(np.count_nonzero(self.leak_w > 0.0))
+
+    def observe(self, lane: int,
+                observation: SlotObservation) -> SlotObservation:
+        """What the lane's controller sees: the injector's view of the
+        observation under the lane's state (sensor noise is drawn from
+        the lane's own RNG); clean lanes see it unchanged."""
+        injector = self.injectors[lane]
+        if injector is None:
+            return observation
+        return injector.observe(observation, self.states[lane])
+
+    def attribute_downtime(self, delta_s: np.ndarray) -> None:
+        """Charge each lane's newly accrued downtime to its buckets.
+
+        Lane-parallel ``FaultInjector.attribute_downtime``: a positive
+        delta splits evenly over the lane's attributed classes, folded
+        in tick order.
+        """
+        charged = self._charged_by & (delta_s > 0.0)[:, None]
+        if np.count_nonzero(charged):
+            share = delta_s / self._num_charged
+            self.downtime_s = self.downtime_s + np.where(
+                charged, share[:, None], 0.0)
+            self._touched |= charged
+
+    def downtime_by_class(self, lane: int) -> Optional[Dict[str, float]]:
+        """The lane's ``RunMetrics.fault_downtime_s`` (None when clean
+        or nothing accrued)."""
+        if self.injectors[lane] is None:
+            return None
+        buckets = {kind: float(self.downtime_s[lane, index])
+                   for index, kind in enumerate(self.kinds)
+                   if self._touched[lane, index]}
+        return buckets or None
 
 
 def _check_compatible(sims: Sequence[Simulation]) -> None:
@@ -177,10 +315,6 @@ def _check_compatible(sims: Sequence[Simulation]) -> None:
             f"batched path supports at most {_MAX_BATCH_SERVERS} servers, "
             f"got {num_servers}")
     for index, sim in enumerate(sims):
-        if sim.injector is not None:
-            raise BatchCompatibilityError(
-                f"scenario {index}: fault injection requires the scalar "
-                "path")
         if sim.profiler is not None:
             raise BatchCompatibilityError(
                 f"scenario {index}: tick profiling requires the scalar path")
@@ -250,54 +384,55 @@ class BatchSimulation:
         cluster = BatchCluster(n, s, first.cluster_config.server)
         scheduler = BatchScheduler(n, s)
         fabric = BatchFabric(n, s)
-        ipdu = BatchIPDU(n, s, history_limit=slot_ticks)
+        ipdu = BatchIPDU(n, s)
         buffers = BatchBuffers([sim.buffers for sim in sims], dt)
         has_sc = buffers.has_sc
+        faults = (BatchFaults(sims, num_ticks, dt)
+                  if any(sim.injector is not None for sim in sims)
+                  else None)
+        # Pool reachability per lane (the fault columns, updated in
+        # place; all-True without faults).
+        if faults is None:
+            sc_ok = ba_ok = np.ones(n, dtype=bool)
+        else:
+            sc_ok, ba_ok = faults.sc_ok, faults.ba_ok
+        last_downtime_s = np.zeros(n)
 
         eff = np.array([sim.cluster_config.converter_efficiency
                         for sim in sims])
         one_m_eff = 1.0 - eff
         renewable = [sim.renewable for sim in sims]
+        fixed_budget = [sim.cluster_config.utility_budget_w for sim in sims]
 
-        # (ticks, lanes, servers) demand stack and (ticks, lanes) budget
-        # and generation columns — bit-exact copies of every lane's
-        # per-tick scalars.
-        stack = np.ascontiguousarray(
-            np.stack([sim.trace.values_w for sim in sims],
-                     axis=0).transpose(2, 0, 1))
-        budget_col = np.empty((num_ticks, n))
-        generation_col = np.zeros((num_ticks, n))
-        for lane, sim in enumerate(sims):
-            if sim.supply is not None:
-                vals = sim.supply.values_w[:num_ticks]
-                budget_col[:, lane] = vals
-                generation_col[:, lane] = vals
-            else:
-                budget_col[:, lane] = sim.cluster_config.utility_budget_w
-        # Per-tick demand totals, accumulated server-by-server in index
-        # order — the scalar engine's ``np.add.reduce(values, axis=-2)``
-        # is sequential over the (outer) server axis, and a contiguous
-        # inner-axis reduce would switch to numpy's unrolled pairwise
-        # path at exactly 8 servers.
-        tick_totals = np.zeros((num_ticks, n))
-        for j in range(s):
-            tick_totals = tick_totals + stack[:, :, j]
-
-        # (ticks, lanes) accumulator banks: each tick stores its rate
-        # row and the per-lane running sums are folded once at the end.
-        # ``np.add.reduce`` over axis 0 of a C-ordered bank is a strict
-        # row-by-row (tick-order) accumulation — bit-identical to the
-        # scalar accumulator's per-tick ``+= w * dt`` — because numpy's
-        # pairwise summation only engages on a contiguous reduction
-        # axis.  Rows never stored keep their zeros, matching the
-        # scalar's exact ``+= 0.0 * dt`` no-ops.
-        bank_served = np.zeros((num_ticks, n))
-        bank_unserved = np.zeros((num_ticks, n))
-        bank_utility = np.zeros((num_ticks, n))
-        bank_charge = np.zeros((num_ticks, n))
-        bank_loss = np.zeros((num_ticks, n))
-        bank_deficit = np.zeros((num_ticks, n), dtype=bool)
+        # Running per-lane sums of the scalar accumulator.  Each block's
+        # (ticks, lanes) rate rows are folded with ``np.cumsum`` over
+        # ``[carry; rows * dt]``, a strictly sequential (tick-order)
+        # accumulation at every lane width — bit-identical to the
+        # scalar's per-tick ``+= w * dt``.  Rows a tick never stores
+        # keep their zeros, matching the scalar's exact ``+= 0.0 * dt``.
+        block_len = min(_BLOCK_TICKS, num_ticks)
+        rows_served = np.zeros((block_len, n))
+        rows_unserved = np.zeros((block_len, n))
+        rows_utility = np.zeros((block_len, n))
+        rows_charge = np.zeros((block_len, n))
+        rows_loss = np.zeros((block_len, n))
+        sums = [np.zeros(n) for _ in range(5)]
+        deficit_ticks = np.zeros(n, dtype=np.int64)
         shed_events = np.zeros(n, dtype=np.int64)
+
+        def fold(rows: int) -> None:
+            for index, bank in enumerate((rows_served, rows_unserved,
+                                          rows_utility, rows_charge,
+                                          rows_loss)):
+                sums[index] = np.cumsum(
+                    np.concatenate((sums[index][None], bank[:rows] * dt)),
+                    axis=0)[-1]
+                bank.fill(0.0)
+
+        # The current slot's per-tick demand totals (its analysis input)
+        # and the budget in force at its start.
+        slot_totals = np.zeros((min(slot_ticks, num_ticks), n))
+        slot_budget = np.zeros(n)
 
         # Per-lane slot state.
         plans: List[Optional[SlotPlan]] = [None] * n
@@ -309,14 +444,17 @@ class BatchSimulation:
 
         # Plan-derived lane arrays, rebuilt at each slot boundary (the
         # first tick is always a boundary, so these placeholders are
-        # never read).
+        # never read), and their fault-masked forms, rebuilt whenever
+        # the plans or any lane's pool reachability change.
         r_lambda = np.zeros(n)
+        plan_use_sc = np.zeros(n, dtype=bool)
         plan_use_battery = np.zeros(n, dtype=bool)
         plan_fallback = np.zeros(n, dtype=bool)
-        use_sc_eff = np.zeros(n, dtype=bool)
-        no_pools = np.zeros(n, dtype=bool)
+        plan_generic: Optional[Dict[Tuple[str, ...], np.ndarray]] = None
+        plan_sc_lead = plan_bat = plan_sc_trail = np.zeros(n, dtype=bool)
+        use_sc = use_battery = no_pools = plan_use_sc
         any_no_pools = False
-        charge_generic: Optional[Dict[Tuple[str, ...], np.ndarray]] = None
+        fallback_ba = fallback_sc = plan_fallback
         charge_sc_lead: Optional[np.ndarray] = None
         charge_bat: Optional[np.ndarray] = None
         charge_sc_trail: Optional[np.ndarray] = None
@@ -358,10 +496,35 @@ class BatchSimulation:
             ))
             last_analysis[lane] = analysis
 
+        block_start = block_end = 0
+        stack = totals = budgets = np.zeros((0, n))
+
         with np.errstate(all="ignore"):
             for tick in range(num_ticks):
                 now = tick * dt
-                budget = budget_col[tick]
+                if tick == block_end:
+                    # --- next input block ---------------------------------
+                    if tick:
+                        fold(block_end - block_start)
+                    block_start = tick
+                    block_end = min(tick + block_len, num_ticks)
+                    stack, totals, budgets = self._load_block(
+                        block_start, block_end, fixed_budget)
+                row = tick - block_start
+                budget = budgets[row]
+
+                # --- fault prologue ------------------------------------
+                masks_stale = False
+                if faults is not None:
+                    if tick in faults.changes:
+                        faults.advance(tick, buffers)
+                        masks_stale = True
+                    if faults.any_leak:
+                        buffers.sc.apply_leakage(has_sc, faults.leak_w, dt)
+                    if faults.any_sag:
+                        # budget * 1.0 is the budget itself, so clean
+                        # lanes keep the scalar's untransformed value.
+                        budget = budget * faults.budget_fraction
 
                 # --- slot boundary ------------------------------------
                 if tick % slot_ticks == 0:
@@ -375,8 +538,8 @@ class BatchSimulation:
                         # so one row-parallel analysis covers them all.
                         analyses = analyze_slots(
                             np.ascontiguousarray(
-                                tick_totals[slot_start:tick].T),
-                            budget_col[slot_start], dt)
+                                slot_totals[:tick - slot_start].T),
+                            slot_budget, dt)
                     for lane in range(n):
                         if analyses is not None:
                             close_slot_lane(lane, analyses[lane],
@@ -403,10 +566,15 @@ class BatchSimulation:
                             last_peak_duration_s=last_duration,
                             num_servers=s,
                         )
+                        if faults is not None:
+                            # The controller sees what its sensors
+                            # report.
+                            observation = faults.observe(lane, observation)
                         observations[lane] = observation
                         plans[lane] = sims[lane].policy.begin_slot(
                             observation)
                     slot_start = tick
+                    slot_budget = budget.copy()
                     r_lambda = np.array(
                         [p.r_lambda for p in plans], dtype=float)
                     # clamp(r_lambda, 0, 1) with the scalar's NaN -> 1.0
@@ -419,50 +587,64 @@ class BatchSimulation:
                         [p.use_battery for p in plans], dtype=bool)
                     plan_fallback = np.array(
                         [p.fallback for p in plans], dtype=bool)
-                    use_sc_eff = np.array(
+                    plan_use_sc = np.array(
                         [p.use_sc for p in plans], dtype=bool) & has_sc
-                    no_pools = ~use_sc_eff & ~plan_use_battery
-                    any_no_pools = bool(np.count_nonzero(no_pools))
                     orders = [p.charge_order for p in plans]
                     if all(o in _MERGEABLE_ORDERS for o in orders):
                         # Merged schedule: one SC call for sc-leading
                         # lanes, one battery call, one SC call for
-                        # ("battery", "sc") lanes.  Empty masks drop
-                        # their call entirely.
-                        charge_generic = None
-                        lead = np.array(
+                        # ("battery", "sc") lanes.
+                        plan_generic = None
+                        plan_sc_lead = np.array(
                             [o[:1] == ("sc",) for o in orders],
                             dtype=bool) & has_sc
-                        charge_sc_lead = (lead if np.count_nonzero(lead)
-                                          else None)
-                        bat = np.array(
+                        plan_bat = np.array(
                             ["battery" in o for o in orders], dtype=bool)
-                        charge_bat = (bat if np.count_nonzero(bat)
-                                      else None)
-                        trail = np.array(
+                        plan_sc_trail = np.array(
                             [o == ("battery", "sc") for o in orders],
                             dtype=bool) & has_sc
+                    else:
+                        plan_generic = {}
+                        for lane, plan in enumerate(plans):
+                            mask = plan_generic.get(plan.charge_order)
+                            if mask is None:
+                                mask = np.zeros(n, dtype=bool)
+                                plan_generic[plan.charge_order] = mask
+                            mask[lane] = True
+                    masks_stale = True
+
+                if masks_stale:
+                    # Unreachable pools neither serve their cohort, nor
+                    # back up the other pool, nor absorb surplus.
+                    use_sc = plan_use_sc & sc_ok
+                    use_battery = plan_use_battery & ba_ok
+                    no_pools = ~use_sc & ~use_battery
+                    any_no_pools = bool(np.count_nonzero(no_pools))
+                    fallback_ba = plan_fallback & ba_ok
+                    fallback_sc = plan_fallback & has_sc & sc_ok
+                    if plan_generic is None:
+                        # Empty masks drop their call entirely.
+                        lead = plan_sc_lead & sc_ok
+                        charge_sc_lead = (lead if np.count_nonzero(lead)
+                                          else None)
+                        bat = plan_bat & ba_ok
+                        charge_bat = bat if np.count_nonzero(bat) else None
+                        trail = plan_sc_trail & sc_ok
                         charge_sc_trail = (trail
                                            if np.count_nonzero(trail)
                                            else None)
-                    else:
-                        charge_generic = {}
-                        for lane, plan in enumerate(plans):
-                            mask = charge_generic.get(plan.charge_order)
-                            if mask is None:
-                                mask = np.zeros(n, dtype=bool)
-                                charge_generic[plan.charge_order] = mask
-                            mask[lane] = True
 
                 # --- demand & assignment ------------------------------
                 all_on = cluster.all_on
-                raw = stack[tick]
+                raw = stack[row]
+                total = totals[row]
+                slot_totals[tick - slot_start] = total
                 draws = cluster.draw_array(raw)
                 assignment = scheduler.assign(
                     draws, None if all_on else cluster.powered_mask(),
-                    budget, r_lambda, use_sc=use_sc_eff,
-                    use_battery=plan_use_battery, no_pools=no_pools,
-                    total=tick_totals[tick] if all_on else None)
+                    budget, r_lambda, use_sc=use_sc,
+                    use_battery=use_battery, no_pools=no_pools,
+                    total=total if all_on else None)
 
                 # The scalar engine skips relay applies only on ticks
                 # where an apply would move zero relays, so per-tick
@@ -489,8 +671,8 @@ class BatchSimulation:
                     if np.count_nonzero(over_mask):
                         if unserved is None:
                             unserved = np.zeros(n)
-                        # utility_draw may alias the precomputed totals
-                        # row (a bank view); never mutate through it.
+                        # utility_draw may alias the block's totals row;
+                        # never mutate through it.
                         if (utility_draw.base is not None
                                 or not utility_draw.flags.writeable):
                             utility_draw = utility_draw.copy()
@@ -510,8 +692,8 @@ class BatchSimulation:
                 served = loss = None
                 if not assignment.all_utility:
                     served, shortfall_unserved, loss = self._serve_buffers(
-                        buffers, cluster, assignment, plan_fallback,
-                        draws, eff, one_m_eff, has_sc, shed_events, dt)
+                        buffers, cluster, assignment, fallback_ba,
+                        fallback_sc, draws, eff, one_m_eff, shed_events, dt)
                     if shortfall_unserved is not None:
                         unserved = (shortfall_unserved if unserved is None
                                     else unserved + shortfall_unserved)
@@ -536,57 +718,55 @@ class BatchSimulation:
                                     lane, float(headroom[lane]))
                                 for needed_w in needed:  # repro: noqa[RPR502] restart-order deduction matches the scalar engine
                                     headroom[lane] -= needed_w
-                    if charge_generic is None:
+                    if plan_generic is None:
                         charge_w = self._charge_pools_merged(
                             buffers, charge_sc_lead, charge_bat,
                             charge_sc_trail, can_charge, headroom, dt)
                     else:
                         charge_w = self._charge_pools(
-                            buffers, charge_generic, can_charge, has_sc,
-                            headroom, dt)
+                            buffers, plan_generic, can_charge,
+                            has_sc & sc_ok, ba_ok, headroom, dt)
                 buffers.settle(dt)
 
                 # --- bookkeeping --------------------------------------
+                downtime_accrues = not cluster.all_on
                 cluster.tick(dt, now, raw)
-                ipdu.record_array(
-                    now, draws, dt,
-                    tick_totals[tick] if all_on else None)
-                bank_utility[tick] = utility_draw
+                if faults is not None and downtime_accrues:
+                    # Downtime only accrues on ticks that start with a
+                    # server down, so the totals are read only then.
+                    downtime_total = cluster.total_downtime()
+                    faults.attribute_downtime(
+                        downtime_total - last_downtime_s)
+                    last_downtime_s = downtime_total
+                ipdu.record_array(now, draws, dt, total if all_on else None)
+                rows_utility[row] = utility_draw
                 if served is None:
-                    bank_served[tick] = utility_draw
+                    rows_served[row] = utility_draw
                 else:
-                    bank_served[tick] = utility_draw + served
+                    rows_served[row] = utility_draw + served
                 if unserved is not None:
-                    bank_unserved[tick] = unserved
+                    rows_unserved[row] = unserved
                 if charge_w is not None:
-                    bank_charge[tick] = charge_w
+                    rows_charge[row] = charge_w
                 if loss is not None:
-                    bank_loss[tick] = loss
+                    rows_loss[row] = loss
                 if deficit is not None:
-                    bank_deficit[tick] = deficit
+                    deficit_ticks += deficit
 
+        fold(block_end - block_start)
         sc_usable = buffers.sc_usable_j()
         battery_usable = buffers.battery_usable_j()
         if plans[0] is not None:
             analyses = analyze_slots(
-                np.ascontiguousarray(tick_totals[slot_start:num_ticks].T),
-                budget_col[slot_start], dt)
+                np.ascontiguousarray(slot_totals[:num_ticks - slot_start].T),
+                slot_budget, dt)
             for lane in range(n):
                 close_slot_lane(lane, analyses[lane], sc_usable,
                                 battery_usable)
 
         # --- finalization --------------------------------------------
-        # Fold the banks tick-by-tick (see the bank allocation comment
-        # for why axis-0 reduce of a C-ordered bank is sequential).
-        served_energy = np.add.reduce(bank_served * dt, axis=0)
-        unserved_energy = np.add.reduce(bank_unserved * dt, axis=0)
-        utility_energy = np.add.reduce(bank_utility * dt, axis=0)
-        charge_energy = np.add.reduce(bank_charge * dt, axis=0)
-        generation_energy = np.add.reduce(generation_col * dt, axis=0)
-        conversion_loss = np.add.reduce(bank_loss * dt, axis=0)
-        # Bool reduce would saturate at True; sum() counts.
-        deficit_ticks = bank_deficit.sum(axis=0, dtype=np.int64)
-
+        served_energy, unserved_energy, utility_energy, charge_energy, \
+            conversion_loss = sums
         buffers.write_back()
         duration_s = num_ticks * dt
         results: List[RunResult] = []
@@ -600,7 +780,7 @@ class BatchSimulation:
                 unserved_energy_j=float(unserved_energy[lane]),
                 utility_energy_j=float(utility_energy[lane]),
                 charge_energy_j=float(charge_energy[lane]),
-                generation_energy_j=float(generation_energy[lane]),
+                generation_energy_j=self._generation_energy(sim, dt),
                 conversion_loss_j=float(conversion_loss[lane]),
                 deficit_ticks=int(deficit_ticks[lane]),
                 total_ticks=num_ticks,
@@ -621,7 +801,8 @@ class BatchSimulation:
                 restart_energy_j=cluster.total_restart_energy_lane(lane),
                 relay_switches=fabric.total_switches_lane(lane),
                 renewable=renewable[lane],
-                fault_downtime_s=None,
+                fault_downtime_s=(faults.downtime_by_class(lane)
+                                  if faults is not None else None),
             )
             results.append(RunResult(
                 scheme=sim.policy.name,
@@ -635,13 +816,54 @@ class BatchSimulation:
 
     # ------------------------------------------------------------------
 
+    def _load_block(self, start: int, stop: int,
+                    fixed_budget: Sequence[float]
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ticks ``[start, stop)`` of every lane's inputs.
+
+        Returns the (ticks, lanes, servers) demand stack, its per-tick
+        demand totals and the (ticks, lanes) supply budgets — bit-exact
+        copies of every lane's per-tick scalars.  Totals accumulate
+        server-by-server in index order: the scalar engine's
+        ``np.add.reduce(values, axis=-2)`` is sequential over the
+        (outer) server axis, and a contiguous inner-axis reduce would
+        switch to numpy's unrolled pairwise path at exactly 8 servers.
+        """
+        n = len(self.sims)
+        s = self.sims[0].cluster_config.num_servers
+        stack = np.empty((stop - start, n, s))
+        budgets = np.empty((stop - start, n))
+        for lane, sim in enumerate(self.sims):
+            stack[:, lane, :] = sim.trace.values_w[:, start:stop].T
+            if sim.supply is not None:
+                budgets[:, lane] = sim.supply.values_w[start:stop]
+            else:
+                budgets[:, lane] = fixed_budget[lane]
+        totals = np.zeros((stop - start, n))
+        for j in range(s):
+            totals = totals + stack[:, :, j]
+        return stack, totals, budgets
+
+    @staticmethod
+    def _generation_energy(sim: Simulation, dt: float) -> float:
+        """The scalar's tick-order ``generation += supply[tick] * dt``."""
+        if sim.supply is None:
+            return 0.0
+        values = sim.supply.values_w[:sim.trace.num_samples]
+        return float(np.cumsum(np.concatenate(([0.0], values * dt)))[-1])
+
     @staticmethod
     def _serve_buffers(buffers: BatchBuffers, cluster: BatchCluster,
-                       assignment, fallback: np.ndarray, draws: np.ndarray,
+                       assignment, fallback_ba: np.ndarray,
+                       fallback_sc: np.ndarray, draws: np.ndarray,
                        eff: np.ndarray, one_m_eff: np.ndarray,
-                       has_sc: np.ndarray,
                        shed_events: np.ndarray, dt: float):
-        """Lane-parallel ``Simulation._serve_buffers`` (no injector).
+        """Lane-parallel ``Simulation._serve_buffers``.
+
+        ``fallback_ba`` marks lanes whose battery may take over the SC
+        pool's shortfall (plan fallback, battery reachable);
+        ``fallback_sc`` lanes whose SC pool may take over the battery's
+        (plan fallback, SC present and reachable).
 
         ``served``/``loss``/``unserved`` stay ``None`` until a pool
         actually contributes; the pool ``achieved`` arrays are exact
@@ -673,7 +895,7 @@ class BatchSimulation:
             ba_short = max0(draw - delivered)
 
         if sc_short is not None:
-            mask = fallback & (sc_short > _EPSILON)
+            mask = fallback_ba & (sc_short > _EPSILON)
             if np.count_nonzero(mask):
                 achieved = buffers.discharge_battery(
                     mask, sc_short / eff, dt)
@@ -682,7 +904,7 @@ class BatchSimulation:
                 served = served + delivered
                 sc_short = max0(sc_short - delivered)
         if ba_short is not None:
-            mask = fallback & (ba_short > _EPSILON) & has_sc
+            mask = fallback_sc & (ba_short > _EPSILON)
             if np.count_nonzero(mask):
                 achieved = buffers.discharge_sc(mask, ba_short / eff, dt)
                 delivered = achieved * eff
@@ -759,13 +981,16 @@ class BatchSimulation:
     @staticmethod
     def _charge_pools(buffers: BatchBuffers,
                       charge_groups: Dict[Tuple[str, ...], np.ndarray],
-                      eligible: np.ndarray, has_sc: np.ndarray,
-                      headroom: np.ndarray, dt: float) -> np.ndarray:
-        """Lane-parallel ``Simulation._charge_pools`` (no injector).
+                      eligible: np.ndarray, sc_ok: np.ndarray,
+                      ba_ok: np.ndarray, headroom: np.ndarray,
+                      dt: float) -> np.ndarray:
+        """Lane-parallel ``Simulation._charge_pools``.
 
         Generic per-group fallback for charge orders outside
         :data:`_MERGEABLE_ORDERS`; battery steps are not deferred here
-        because an exotic order could revisit the battery.
+        because an exotic order could revisit the battery.  ``sc_ok``
+        marks lanes with a present, reachable SC pool, ``ba_ok`` lanes
+        with a reachable battery.
         """
         accepted = np.zeros(buffers.n)
         remaining = headroom
@@ -775,8 +1000,7 @@ class BatchSimulation:
                 continue
             for name in order:
                 active = lanes & (remaining > _EPSILON)
-                if name == "sc":
-                    active = active & has_sc
+                active = active & (sc_ok if name == "sc" else ba_ok)
                 if not np.count_nonzero(active):
                     continue
                 if name == "sc":

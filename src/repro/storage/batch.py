@@ -44,7 +44,7 @@ Throughput notes (this module is the batched engine's inner loop):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -164,12 +164,91 @@ class BatchTelemetry:
         telemetry.unmet_requests = int(self.unmet_requests[lane])
 
 
+class _BatteryLane(NamedTuple):
+    """One battery's well contents and per-lane constants."""
+
+    y1: float
+    y2: float
+    capacity_c: float
+    c: float
+    k: float
+    mean_v: float
+    ocv_empty: float
+    ocv_span: float
+    r: float
+    soc_floor: float
+    nominal_j: float
+    eff_discharge: float
+    eff_charge: float
+    gassing_threshold: float
+    gassing_penalty: float
+    gassing_span: float
+    max_charge_current: float
+    min_terminal_v: float
+    ref: float
+    pk_is_one: bool
+    ref_pow: float
+    inv_pk: float
+    pk_m1: float
+    ekt: float
+    one_m_ekt: float
+    ramp: float
+    denominator: float
+
+
+def _battery_lane(b: LeadAcidBattery, dt: float) -> _BatteryLane:
+    """Read one scalar battery into lane form: the single place every
+    per-lane battery constant is derived (construction and the in-run
+    re-read after aging both go through here)."""
+    cfg = b.config
+    coeffs = kibam_coefficients(cfg.kibam_k_per_s, cfg.kibam_c, dt)
+    return _BatteryLane(
+        y1=b.state.available_c,
+        y2=b.state.bound_c,
+        capacity_c=b.state.capacity_c,
+        c=b.state.c,
+        k=b.state.k,
+        mean_v=b._mean_voltage,
+        ocv_empty=b._ocv_empty,
+        ocv_span=b._ocv_span,
+        r=b._aged_resistance,
+        soc_floor=b._soc_floor,
+        # nominal = config_nominal * (1 - age), the expression the scalar
+        # paths evaluate per call from two constants.
+        nominal_j=b._config_nominal_j * (1.0 - b._age_fraction),
+        eff_discharge=cfg.discharge_efficiency,
+        eff_charge=cfg.charge_efficiency,
+        gassing_threshold=cfg.gassing_soc_threshold,
+        gassing_penalty=cfg.gassing_penalty,
+        gassing_span=1.0 - cfg.gassing_soc_threshold,
+        max_charge_current=cfg.max_charge_current_a,
+        min_terminal_v=cfg.min_terminal_voltage_v,
+        ref=cfg.reference_current_a,
+        pk_is_one=cfg.peukert_exponent == 1.0,
+        # Scalar-pow constants, evaluated per lane through CPython pow
+        # exactly as the scalar call sites do on every invocation.
+        ref_pow=cfg.reference_current_a ** (cfg.peukert_exponent - 1.0),
+        inv_pk=1.0 / cfg.peukert_exponent,
+        pk_m1=cfg.peukert_exponent - 1.0,
+        ekt=coeffs.ekt,
+        one_m_ekt=coeffs.one_m_ekt,
+        ramp=coeffs.kdt_m_one_m_ekt,
+        denominator=coeffs.denominator,
+    )
+
+
 class BatchBattery:
     """N lead-acid batteries advanced in lockstep.
 
     Per-lane constants are hoisted from each scalar battery at
     construction; the two well contents are the only per-tick state.
+    An in-run mutation of one lane's scalar battery (fault-injected
+    aging) is picked up by :meth:`load_lane`.
     """
+
+    #: Exponents read by :func:`pow_lanes` element by element; kept as
+    #: Python float lists so ``**`` stays CPython pow.
+    _LIST_FIELDS = frozenset({"inv_pk", "pk_m1"})
 
     def __init__(self, batteries: Sequence[LeadAcidBattery],
                  dt: float) -> None:
@@ -178,84 +257,58 @@ class BatchBattery:
         self.dt = dt
         self.telemetry = BatchTelemetry(n)
 
-        def const(fn):
-            return np.array([fn(b) for b in batteries], dtype=float)
-
-        self.y1 = const(lambda b: b.state.available_c)
-        self.y2 = const(lambda b: b.state.bound_c)
-        self.capacity_c = const(lambda b: b.state.capacity_c)
-        self.c = const(lambda b: b.state.c)
-        self.k = const(lambda b: b.state.k)
-        self.mean_v = const(lambda b: b._mean_voltage)
-        self.ocv_empty = const(lambda b: b._ocv_empty)
-        self.ocv_span = const(lambda b: b._ocv_span)
-        self.r = const(lambda b: b._aged_resistance)
-        self.soc_floor = const(lambda b: b._soc_floor)
-        # nominal = config_nominal * (1 - age), the expression the scalar
-        # paths evaluate per call from two constants.
-        self.nominal_j = const(
-            lambda b: b._config_nominal_j * (1.0 - b._age_fraction))
-        self.floor_j = self.soc_floor * self.nominal_j
-        self.floor_c = self.soc_floor * self.capacity_c
-        # Hoisted scalar subexpressions (each the bitwise result the
-        # scalar code computes fresh every call).
-        self.avail_cap = self.capacity_c * self.c
-        self.bound_cap = self.capacity_c * (1.0 - self.c)
-        self.one_m_c = 1.0 - self.c
-        self.four_r = 4.0 * self.r
-
-        cfg = [b.config for b in batteries]
-        self.eff_discharge = np.array(
-            [c.discharge_efficiency for c in cfg])
-        self.eff_charge = np.array([c.charge_efficiency for c in cfg])
-        self.gassing_threshold = np.array(
-            [c.gassing_soc_threshold for c in cfg])
-        self.gassing_penalty = np.array([c.gassing_penalty for c in cfg])
-        self.gassing_span = np.array(
-            [1.0 - c.gassing_soc_threshold for c in cfg])
-        self.max_charge_current = np.array(
-            [c.max_charge_current_a for c in cfg])
-        self.min_terminal_v = np.array(
-            [c.min_terminal_voltage_v for c in cfg])
-        self.ref = np.array([c.reference_current_a for c in cfg])
-        self.pk_is_one = np.array(
-            [c.peukert_exponent == 1.0 for c in cfg], dtype=bool)
-        # Scalar-pow constants, evaluated per lane through CPython pow
-        # exactly as the scalar call sites do on every invocation.
-        self.ref_pow = np.array(
-            [c.reference_current_a ** (c.peukert_exponent - 1.0)
-             for c in cfg])
-        self.inv_pk: List[float] = [
-            1.0 / c.peukert_exponent for c in cfg]
-        self.pk_m1: List[float] = [
-            c.peukert_exponent - 1.0 for c in cfg]
-
-        self.r_small = self.r <= _DEVICE_EPS
-        self.r_safe = np.where(self.r_small, 1.0, self.r)
-        self.two_r = 2.0 * self.r_safe
-        self.any_r_small = bool(self.r_small.any())
-
-        coeffs = [kibam_coefficients(c.kibam_k_per_s, c.kibam_c, dt)
-                  for c in cfg]
-        self.ekt = np.array([co.ekt for co in coeffs])
-        self.one_m_ekt = np.array([co.one_m_ekt for co in coeffs])
-        self.ramp = np.array([co.kdt_m_one_m_ekt for co in coeffs])
-        self.denominator = np.array([co.denominator for co in coeffs])
-        self.den_bad = self.denominator <= 0.0
-        self.den_safe = np.where(self.den_bad, 1.0, self.denominator)
-        self.any_den_bad = bool(self.den_bad.any())
+        rows = [_battery_lane(b, dt) for b in batteries]
+        for index, name in enumerate(_BatteryLane._fields):
+            column = [row[index] for row in rows]
+            setattr(self, name, column if name in self._LIST_FIELDS
+                    else np.array(column,
+                                  dtype=bool if name == "pk_is_one"
+                                  else float))
+        self._derive()
 
         self._zeros = np.zeros(n)
         self._zeros.setflags(write=False)
         # Deferred KiBaM step (see flush_step).
         self._def_mask: Optional[np.ndarray] = None
         self._def_i: Optional[np.ndarray] = None
+
+    def _derive(self) -> None:
+        """Constant subexpressions of the per-lane columns (each the
+        bitwise result the scalar code computes fresh every call)."""
+        self.floor_j = self.soc_floor * self.nominal_j
+        self.floor_c = self.soc_floor * self.capacity_c
+        self.avail_cap = self.capacity_c * self.c
+        self.bound_cap = self.capacity_c * (1.0 - self.c)
+        self.one_m_c = 1.0 - self.c
+        self.four_r = 4.0 * self.r
+
+        self.r_small = self.r <= _DEVICE_EPS
+        self.r_safe = np.where(self.r_small, 1.0, self.r)
+        self.two_r = 2.0 * self.r_safe
+        self.any_r_small = bool(self.r_small.any())
+
+        self.den_bad = self.denominator <= 0.0
+        self.den_safe = np.where(self.den_bad, 1.0, self.denominator)
+        self.any_den_bad = bool(self.den_bad.any())
+
         # With the wells inside their capacity bounds, the scalar's
         # ``min(1, max(0, y1 / avail_cap))`` SoC fraction is bitwise the
         # bare ratio; the KiBaM clamps maintain the invariant, so it
-        # only needs checking on the initial state.
+        # only needs checking on a freshly read state.
         self.fraction_plain = bool(
             (self.y1 >= 0.0).all() and (self.y1 <= self.avail_cap).all())
+
+    def load_lane(self, lane: int, battery: LeadAcidBattery) -> None:
+        """Re-read one lane's wells and constants from its scalar battery.
+
+        The inverse of :meth:`write_back` for state the scalar model
+        changed mid-run (aging resizes the wells and raises the
+        resistance); telemetry stays in the batch counters.
+        """
+        for name, value in zip(_BatteryLane._fields,
+                               _battery_lane(battery, self.dt)):
+            getattr(self, name)[lane] = value
+        self._derive()
 
     # -- state views ---------------------------------------------------
 
@@ -535,11 +588,56 @@ class BatchBattery:
         self.telemetry.write_back(lane, battery.telemetry)
 
 
+class _SupercapLane(NamedTuple):
+    """One supercapacitor's stored charge and per-lane constants."""
+
+    charge_c: float
+    capacitance: float
+    esr: float
+    min_v: float
+    min_v_sq: float
+    max_charge_c: float
+    max_charge_current: float
+    nominal_j: float
+    soc_floor: float
+    floor_voltage: float
+
+
+#: Benign constants for lanes without an SC pool.
+_PARKED_SC = _SupercapLane(charge_c=0.0, capacitance=1.0, esr=0.0,
+                           min_v=0.0, min_v_sq=0.0, max_charge_c=0.0,
+                           max_charge_current=0.0, nominal_j=1.0,
+                           soc_floor=0.0, floor_voltage=0.0)
+
+
+def _supercap_lane(s: Optional[Supercapacitor]) -> _SupercapLane:
+    """Read one scalar supercapacitor into lane form (parked when
+    absent): the single place every per-lane SC constant is derived."""
+    if s is None:
+        return _PARKED_SC
+    return _SupercapLane(
+        charge_c=s._charge_c,
+        capacitance=s._capacitance,
+        esr=s._esr,
+        min_v=s._min_v,
+        min_v_sq=s._min_v_sq,
+        max_charge_c=s._max_charge_c,
+        max_charge_current=s._max_charge_current,
+        nominal_j=s._nominal_j,
+        soc_floor=s._soc_floor,
+        # _floor_voltage(): a pure function of constants; evaluated per
+        # lane through math.sqrt exactly as the scalar method does.
+        floor_voltage=s._floor_voltage(),
+    )
+
+
 class BatchSupercap:
     """N supercapacitors advanced in lockstep.
 
     Lanes without an SC pool (``present`` False) carry benign parked
     constants and are excluded from every operation mask by the caller.
+    An in-run mutation of one lane's scalar device (fault-injected ESR
+    drift) is picked up by :meth:`load_lane`.
     """
 
     def __init__(self, scs: Sequence[Optional[Supercapacitor]],
@@ -549,23 +647,18 @@ class BatchSupercap:
         self.telemetry = BatchTelemetry(n)
         self.present = np.array([s is not None for s in scs], dtype=bool)
 
-        def const(fn, parked):
-            return np.array(
-                [parked if s is None else fn(s) for s in scs], dtype=float)
+        rows = [_supercap_lane(s) for s in scs]
+        for index, name in enumerate(_SupercapLane._fields):
+            setattr(self, name,
+                    np.array([row[index] for row in rows], dtype=float))
+        self._derive()
 
-        self.charge_c = const(lambda s: s._charge_c, 0.0)
-        self.capacitance = const(lambda s: s._capacitance, 1.0)
-        self.esr = const(lambda s: s._esr, 0.0)
-        self.min_v = const(lambda s: s._min_v, 0.0)
-        self.min_v_sq = const(lambda s: s._min_v_sq, 0.0)
-        self.max_charge_c = const(lambda s: s._max_charge_c, 0.0)
-        self.max_charge_current = const(lambda s: s._max_charge_current, 0.0)
-        self.nominal_j = const(lambda s: s._nominal_j, 1.0)
-        self.soc_floor = const(lambda s: s._soc_floor, 0.0)
+        self._zeros = np.zeros(n)
+        self._zeros.setflags(write=False)
+
+    def _derive(self) -> None:
+        """Constant subexpressions of the per-lane columns."""
         self.floor_j = self.soc_floor * self.nominal_j
-        # _floor_voltage(): a pure function of constants; evaluated per
-        # lane through math.sqrt exactly as the scalar method does.
-        self.floor_voltage = const(lambda s: s._floor_voltage(), 0.0)
         self.floor_charge = self.floor_voltage * self.capacitance
         self.four_esr = 4.0 * self.esr
 
@@ -577,8 +670,13 @@ class BatchSupercap:
         # (parked lanes compute garbage that their masks discard).
         self.esr_uniform = not bool((self.esr_small & self.present).any())
 
-        self._zeros = np.zeros(n)
-        self._zeros.setflags(write=False)
+    def load_lane(self, lane: int, sc: Supercapacitor) -> None:
+        """Re-read one lane's charge and constants from its scalar
+        device (the inverse of :meth:`write_back`; ESR drift changes
+        the resistance mid-run)."""
+        for name, value in zip(_SupercapLane._fields, _supercap_lane(sc)):
+            getattr(self, name)[lane] = value
+        self._derive()
 
     # -- state views ---------------------------------------------------
 
@@ -724,6 +822,26 @@ class BatchSupercap:
         self.charge_c = self.charge_c + current * dt
         self.telemetry.record_charge(mask, achieved * dt, loss, current, dt)
         return achieved
+
+    def apply_leakage(self, mask: np.ndarray, power_w: np.ndarray,
+                      dt: float) -> None:
+        """Lane-parallel ``Supercapacitor.apply_leakage`` on ``mask``.
+
+        The drained energy lands in the loss counter only, never in
+        ``energy_out_j``; lanes outside ``mask``, without a drain, or
+        at (near) zero voltage keep their charge and counters.
+        """
+        cap = self.capacitance
+        v = self.charge_c / cap
+        active = mask & (power_w > 0.0) & (v > _DEVICE_EPS)
+        current = power_w / np.where(active, v, 1.0)
+        drained_c = sel_min(self.charge_c, current * dt)
+        v_end = (self.charge_c - drained_c) / cap
+        leaked_j = 0.5 * (v + v_end) * drained_c
+        self.charge_c = np.where(active, self.charge_c - drained_c,
+                                 self.charge_c)
+        self.telemetry.loss_j = np.where(
+            active, self.telemetry.loss_j + leaked_j, self.telemetry.loss_j)
 
     def rest(self, mask: np.ndarray, dt: float) -> None:
         self.telemetry.record_rest(mask, dt)

@@ -73,8 +73,8 @@ class TestFiguresBatchedVsScalar:
                     f"{expected!r}")
 
     def test_resilience_sweep_identical_with_fault_fallback(self):
-        """Faulted lanes run scalar inside the batched runner; the
-        zero-intensity lanes batch — the sweep must not notice."""
+        """Faulted and zero-intensity lanes share the batched runner's
+        groups — the sweep must not notice."""
         with using_runner(ExperimentRunner(jobs=1, batch=True)):
             batched = run_resilience(**RESILIENCE_PARAMS)
         with using_runner(ExperimentRunner(jobs=1, batch=False)):

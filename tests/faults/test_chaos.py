@@ -11,6 +11,10 @@ that no fault is allowed to break:
   sum to the run's total downtime;
 * downtime is monotone non-decreasing in outage duration;
 * the zero-fault schedule is bit-identical to a run with no injector.
+
+The same invariants are checked lane by lane on the batched engine
+(:class:`~repro.sim.batch.BatchSimulation`), where several storms share
+one tick loop.
 """
 
 import numpy as np
@@ -32,6 +36,7 @@ from repro.faults import (
     UtilityOutage,
 )
 from repro.sim import HybridBuffers, Simulation
+from repro.sim.batch import BatchSimulation
 from repro.workloads.base import ClusterTrace
 
 #: Simulated seconds per chaos run (kept small: every example is a full
@@ -68,9 +73,9 @@ schedule_strategy = st.builds(
     st.integers(min_value=0, max_value=2**31 - 1))
 
 
-def run_chaos(scheme, schedule, trace_seed=11, budget_w=260.0):
+def build_chaos(scheme, schedule, trace_seed=11, budget_w=260.0):
     """One small simulation with the schedule injected; returns
-    (result, buffers, demand_j, cluster)."""
+    (simulation, buffers, demand_j, cluster)."""
     rng = np.random.default_rng(trace_seed)
     cluster = ClusterConfig(utility_budget_w=budget_w)
     demands = rng.uniform(0.0, 150.0,
@@ -82,9 +87,64 @@ def run_chaos(scheme, schedule, trace_seed=11, budget_w=260.0):
     injector = (FaultInjector(schedule)
                 if schedule is not None and not schedule.is_empty
                 else None)
-    result = Simulation(trace, policy, buffers, cluster_config=cluster,
-                        injector=injector).run()
-    return result, buffers, float(demands.sum()) * trace.dt_s, cluster
+    sim = Simulation(trace, policy, buffers, cluster_config=cluster,
+                     injector=injector)
+    return sim, buffers, float(demands.sum()) * trace.dt_s, cluster
+
+
+def run_chaos(scheme, schedule, trace_seed=11, budget_w=260.0):
+    """One small simulation with the schedule injected; returns
+    (result, buffers, demand_j, cluster)."""
+    sim, buffers, demand_j, cluster = build_chaos(scheme, schedule,
+                                                  trace_seed, budget_w)
+    return sim.run(), buffers, demand_j, cluster
+
+
+def assert_invariants(result, buffers, demand_j, cluster, schedule):
+    """The physical invariants no storm may break, for one run."""
+    __tracebackhide__ = True
+    metrics = result.metrics
+
+    # Energy accounting balances: demand is either served or shed.
+    # Two engine semantics (pre-dating fault injection, surfaced by
+    # it because faults make shedding and restarting common) bound
+    # the permitted gap:
+    # * a RESTARTING server draws restart power instead of its
+    #   workload and serves nothing (gap <= the restart ledger plus
+    #   the unavailable demand, itself <= max draw x downtime);
+    # * shed_lru shuts whole servers down, so the freed draw can
+    #   overshoot the shortfall by at most one server's draw per
+    #   shed event, and every shed event costs >= 1 s of downtime.
+    # A run with no downtime and no restarts must balance exactly.
+    total = metrics.served_energy_j + metrics.unserved_energy_j
+    slack = (metrics.restart_energy_j
+             + _MAX_SERVER_W * metrics.server_downtime_s)
+    assert abs(total - demand_j) <= slack + 1e-6
+    buffered = metrics.served_energy_j - metrics.utility_energy_j
+    assert buffered == pytest.approx(
+        metrics.buffer_energy_out_j * cluster.converter_efficiency,
+        rel=1e-9, abs=1e-6)
+
+    # Faults only ever *shrink* the budget, so the nominal cap holds.
+    assert metrics.utility_energy_j <= (
+        cluster.utility_budget_w * metrics.duration_s + 1e-6)
+
+    # SoC confined to [0, 1] on every pool, aged or not.
+    assert -1e-9 <= buffers.battery.soc <= 1.0 + 1e-9
+    if buffers.sc is not None:
+        assert -1e-9 <= buffers.sc.soc <= 1.0 + 1e-9
+
+    # Downtime sane, and the attribution buckets account for all of
+    # it (None when no injector ran or nothing accrued).
+    assert metrics.server_downtime_s >= 0.0
+    assert 0.0 <= metrics.downtime_fraction <= 1.0
+    buckets = metrics.fault_downtime_s
+    if schedule.is_empty or metrics.server_downtime_s == 0.0:
+        assert buckets is None
+    else:
+        assert buckets is not None
+        assert sum(buckets.values()) == pytest.approx(
+            metrics.server_downtime_s, abs=1e-6)
 
 
 @pytest.mark.parametrize("scheme", POLICY_NAMES)
@@ -93,48 +153,7 @@ class TestChaosInvariants:
     @settings(max_examples=8, deadline=None)
     def test_invariants_hold_under_any_storm(self, scheme, schedule):
         result, buffers, demand_j, cluster = run_chaos(scheme, schedule)
-        metrics = result.metrics
-
-        # Energy accounting balances: demand is either served or shed.
-        # Two engine semantics (pre-dating fault injection, surfaced by
-        # it because faults make shedding and restarting common) bound
-        # the permitted gap:
-        # * a RESTARTING server draws restart power instead of its
-        #   workload and serves nothing (gap <= the restart ledger plus
-        #   the unavailable demand, itself <= max draw x downtime);
-        # * shed_lru shuts whole servers down, so the freed draw can
-        #   overshoot the shortfall by at most one server's draw per
-        #   shed event, and every shed event costs >= 1 s of downtime.
-        # A run with no downtime and no restarts must balance exactly.
-        total = metrics.served_energy_j + metrics.unserved_energy_j
-        slack = (metrics.restart_energy_j
-                 + _MAX_SERVER_W * metrics.server_downtime_s)
-        assert abs(total - demand_j) <= slack + 1e-6
-        buffered = metrics.served_energy_j - metrics.utility_energy_j
-        assert buffered == pytest.approx(
-            metrics.buffer_energy_out_j * cluster.converter_efficiency,
-            rel=1e-9, abs=1e-6)
-
-        # Faults only ever *shrink* the budget, so the nominal cap holds.
-        assert metrics.utility_energy_j <= (
-            cluster.utility_budget_w * metrics.duration_s + 1e-6)
-
-        # SoC confined to [0, 1] on every pool, aged or not.
-        assert -1e-9 <= buffers.battery.soc <= 1.0 + 1e-9
-        if buffers.sc is not None:
-            assert -1e-9 <= buffers.sc.soc <= 1.0 + 1e-9
-
-        # Downtime sane, and the attribution buckets account for all of
-        # it (None when no injector ran or nothing accrued).
-        assert metrics.server_downtime_s >= 0.0
-        assert 0.0 <= metrics.downtime_fraction <= 1.0
-        buckets = metrics.fault_downtime_s
-        if schedule.is_empty or metrics.server_downtime_s == 0.0:
-            assert buckets is None
-        else:
-            assert buckets is not None
-            assert sum(buckets.values()) == pytest.approx(
-                metrics.server_downtime_s, abs=1e-6)
+        assert_invariants(result, buffers, demand_j, cluster, schedule)
 
     @given(schedule=schedule_strategy)
     @settings(max_examples=4, deadline=None)
@@ -204,3 +223,36 @@ class TestOutageMonotonicity:
             return result.metrics.server_downtime_s
 
         assert downtime(long_s) >= downtime(short_s) - 1e-9
+
+
+# ----------------------------------------------------------------------
+# The same invariants on the batched engine, lane by lane
+# ----------------------------------------------------------------------
+
+lane_strategy = st.tuples(st.sampled_from(POLICY_NAMES), schedule_strategy,
+                          st.integers(min_value=0, max_value=2**16))
+
+
+class TestBatchedChaosInvariants:
+    @given(lanes=st.lists(lane_strategy, min_size=2, max_size=4))
+    @settings(max_examples=8, deadline=None)
+    def test_invariants_hold_on_every_lane(self, lanes):
+        built = [build_chaos(scheme, schedule, trace_seed=seed)
+                 for scheme, schedule, seed in lanes]
+        results = BatchSimulation([sim for sim, _, _, _ in built]).run_all()
+        for (_, schedule, _), (_, buffers, demand_j, cluster), result in zip(
+                lanes, built, results):
+            assert_invariants(result, buffers, demand_j, cluster, schedule)
+
+    def test_zero_fault_lanes_match_injector_free_lanes(self):
+        """Lanes carrying an empty-schedule injector equal their
+        injector-free twins in the same batch."""
+        sims = []
+        for scheme in POLICY_NAMES:
+            plain, _, _, _ = build_chaos(scheme, None)
+            empty, _, _, _ = build_chaos(scheme, None)
+            empty.injector = FaultInjector(FaultSchedule.empty())
+            sims.extend((plain, empty))
+        results = BatchSimulation(sims).run_all()
+        for plain, empty in zip(results[::2], results[1::2]):
+            assert plain == empty

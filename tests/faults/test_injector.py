@@ -1,6 +1,7 @@
 """Unit tests for the FaultInjector tick protocol and its engine hooks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import prototype_buffer
 from repro.core.policies.base import SlotObservation
@@ -19,6 +20,8 @@ from repro.faults import (
     UtilityOutage,
 )
 from repro.sim import HybridBuffers
+
+from .test_chaos import HORIZON_S, schedule_strategy
 
 
 def make_buffers():
@@ -245,3 +248,40 @@ class TestDowntimeAttribution:
             total += 2.0
         assert sum(injector.downtime_by_class().values()) == (
             pytest.approx(total))
+
+
+class TestTimeline:
+    """The batched engine's change-point timeline against the state the
+    scalar injector derives tick by tick."""
+
+    @given(schedule=schedule_strategy,
+           dt=st.sampled_from((1.0, 0.7, 2.5, 10.0)))
+    @settings(max_examples=25, deadline=None)
+    def test_timeline_matches_per_tick_state(self, schedule, dt):
+        num_ticks = int(HORIZON_S / dt) + 3
+        injector = FaultInjector(schedule)
+        changes = {tick: (state, steps) for tick, state, steps
+                   in injector.timeline(num_ticks, dt)}
+        assert 0 in changes
+        buffers = make_buffers()
+        applied = [False] * len(schedule.events)
+        state = None
+        for tick in range(num_ticks):
+            injector.begin_tick(tick * dt, dt, buffers)
+            steps = ()
+            if tick in changes:
+                state, steps = changes[tick]
+            assert injector.active_classes == state.classes
+            assert injector.sc_available == state.sc_available
+            assert injector.battery_available == state.battery_available
+            assert injector.transform_budget(260.0) == (
+                260.0 if state.budget_fraction >= 1.0
+                else 260.0 * state.budget_fraction)
+            due = tuple(
+                event for index, event in enumerate(schedule.events)
+                if event.persistent and event.active_at(tick * dt)
+                and not applied[index])
+            for index, event in enumerate(schedule.events):
+                if event in due:
+                    applied[index] = True
+            assert steps == due
