@@ -1,7 +1,8 @@
 """Shared plumbing for the throughput benchmarks and their gates.
 
-Five benchmark families (``engine``, ``batch``, ``pilot``, ``faults``,
-``service``) share one result file and one regression-gate policy:
+Six benchmark families (``engine``, ``batch``, ``pilot``, ``faults``,
+``grid``, ``service``) share one result file and one regression-gate
+policy:
 
 * each measurement is merged as a named section into
   ``benchmarks/BENCH_engine.json``;
@@ -28,7 +29,7 @@ RESULT_PATH = BENCH_DIR / "BENCH_engine.json"
 BASELINE_PATH = BENCH_DIR / "BENCH_baseline.json"
 
 #: Sections the result file keeps; anything else is dropped on write.
-SECTIONS = ("engine", "batch", "pilot", "faults", "service")
+SECTIONS = ("engine", "batch", "pilot", "faults", "grid", "service")
 
 #: Fail when throughput drops below this fraction of the recorded baseline.
 GATE_FRACTION = 0.7

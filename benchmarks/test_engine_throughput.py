@@ -25,6 +25,12 @@ guards the engine's *speed* along three axes:
   ``execute_request`` (injector included); the same scenarios without
   their schedules are timed too, so the faulted rate is reported next
   to the clean batched rate (the target is within 2x).
+* ``grid`` — the lane kernels at the width the Figure 12 grid runs
+  them: the first 54-lane chunk ``plan_units(workers=2)`` makes of
+  ``run_fig12``'s 1 h requests, executed through
+  ``execute_request_group`` with PAT seeds warm (best of three, build
+  included), reported as lane-ticks/s.  Every lane must equal scalar
+  ``execute_request``.
 
 All measurements land in ``benchmarks/BENCH_engine.json`` and fail
 when throughput regresses more than 30% below the matching section of
@@ -45,8 +51,10 @@ from time import perf_counter
 
 from repro.core import PowerAllocationTable, make_policy, policies
 from repro.core.policies import POLICY_NAMES
+from repro.experiments import run_fig12
 from repro.experiments.resilience import fault_schedule_for
-from repro.runner.batch import execute_request_group
+from repro.runner import using_runner
+from repro.runner.batch import execute_request_group, plan_units
 from repro.runner.request import (ExperimentSetup, RunRequest,
                                   build_simulation, execute_request)
 from repro.sim import HybridBuffers, Simulation
@@ -419,3 +427,86 @@ def test_fault_sweep_throughput():
             f"{request.faults.to_dict()} diverged from the scalar oracle")
 
     enforce_gate("faults", measurement, "scenarios_per_s", "scenarios/s")
+
+
+GRID_DURATION_H = 1.0
+GRID_SEED = 1
+GRID_WORKERS = 2
+GRID_ROUNDS = 3
+
+
+class _CapturingRunner:
+    """A runner stand-in that records what a figure driver submits
+    (and answers with placeholders, which the driver only slices)."""
+
+    def __init__(self) -> None:
+        self.requests: list = []
+
+    def map(self, requests):
+        self.requests.extend(requests)
+        return [None] * len(requests)
+
+
+def _grid_chunk() -> list:
+    """The first unit ``plan_units`` makes of ``run_fig12``'s requests
+    for a ``GRID_WORKERS``-worker runner: the lane width the grid's
+    kernels actually run at."""
+    runner = _CapturingRunner()
+    with using_runner(runner):
+        run_fig12(duration_h=GRID_DURATION_H, seed=GRID_SEED)
+    units, _ = plan_units(runner.requests, workers=GRID_WORKERS)
+    kind, chunk = units[0]
+    assert kind == "group"
+    return list(chunk)
+
+
+def _grid_config_hash(requests) -> str:
+    payload = {
+        "duration_h": GRID_DURATION_H,
+        "workers": GRID_WORKERS,
+        "scenarios": [[r.scheme, r.workload, r.setup.budget_w, r.renewable]
+                      for r in requests],
+    }
+    payload.update(sizing_payload(requests[0].setup))
+    return digest(payload)
+
+
+def _measure_grid() -> tuple[dict, list]:
+    requests = _grid_chunk()
+    # Warm-up: policy seeding is memoized per scheme (see the batch
+    # section).
+    for scheme in POLICY_NAMES:
+        execute_request(RunRequest(
+            scheme=scheme, workload="WS",
+            setup=ExperimentSetup(duration_h=1.0 / 60.0)))
+    wall, batched = _best_group_wall(requests, GRID_ROUNDS)
+    ticks = build_simulation(requests[0]).trace.num_samples
+    measurement = {
+        "lanes": len(requests),
+        "duration_h": GRID_DURATION_H,
+        "ticks": ticks,
+        "rounds": GRID_ROUNDS,
+        "wall_s": round(wall, 6),
+        "lane_ticks_per_s": round(len(requests) * ticks / wall, 1),
+        "config_hash": _grid_config_hash(requests),
+    }
+    return measurement, batched
+
+
+def test_grid_chunk_throughput():
+    measurement, batched = _measure_grid()
+    write_section("grid", measurement)
+    print()
+    print(f"grid chunk: {measurement['lane_ticks_per_s']:,.0f} lane-ticks/s "
+          f"({measurement['lanes']} lanes x {measurement['ticks']} ticks, "
+          f"best wall {measurement['wall_s']:.3f} s)")
+
+    # Correctness anchor: every lane equals the scalar engine.
+    requests = _grid_chunk()
+    assert len(batched) == len(requests)
+    for request, got in zip(requests, batched):
+        assert got == execute_request(request), (
+            f"{request.scheme} x {request.workload} diverged from the "
+            f"scalar oracle")
+
+    enforce_gate("grid", measurement, "lane_ticks_per_s", "lane-ticks/s")

@@ -163,10 +163,10 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
             "total_capex": "TCO sizing math stays on the scalar object "
                            "(computed before/after a run, never per "
                            "tick)",
-            "charge": "decomposed into charge_battery/charge_sc (plus "
+            "charge": "decomposed into battery.charge/charge_sc (plus "
                       "settle) in the batch API; the merged scalar "
                       "entry point has no single lane analogue",
-            "discharge": "decomposed into discharge_battery/"
+            "discharge": "decomposed into battery.discharge/"
                          "discharge_sc in the batch API",
             "pool": "scalar pool-object lookup; batch callers address "
                     "devices through the sc_*/battery_* lane arrays",

@@ -14,9 +14,9 @@ Exactness notes mirrored from the scalar code:
 * the descending-demand order is a keyed *stable* argsort — identical
   tie-breaking to ``sorted(key=lambda i: (-demand[i], i))``, with
   unavailable servers keyed ``inf`` so they sort past every active one;
-* the greedy cutoff runs as a rank loop with a monotone take mask
-  (utility draw only decreases), so an early break when no lane takes
-  a rank is safe;
+* the greedy cutoff's running draws are one ``np.cumsum`` down the
+  ranks (an accumulate, so sequential at every width) and the take
+  mask is their over-budget prefix (``np.logical_and.accumulate``);
 * ``np.rint`` is round-half-even like Python's ``round``, so the SC
   pool split matches ``int(round(r_lambda * n_buffered))`` bit-for-bit.
 
@@ -83,6 +83,9 @@ class BatchScheduler:
         self._template = np.full((n, num_servers), SOURCE_UTILITY,
                                  dtype=np.int8)
         self._template.setflags(write=False)
+        self._lanes = np.arange(n)
+        self._offsets = self._lanes[:, None] * num_servers
+        self._ranks = np.arange(num_servers)[:, None]
 
     def assign(self,
                demands_w: np.ndarray,
@@ -135,62 +138,59 @@ class BatchScheduler:
                 total, self._zeros, self._zeros,
                 self._zeros_i, all_utility=True)
 
-        sources = np.where(available, SOURCE_UTILITY,
-                           SOURCE_NONE).astype(np.int8) \
-            if available is not None else \
-            np.full((n, s), SOURCE_UTILITY, dtype=np.int8)
-        utility_draw = total
-        sc_draw = self._zeros
-        battery_draw = self._zeros
-
         # Descending-demand order; unavailable servers key to +inf so
         # they sort after every active server and are never taken.
         if available is None:
             order = np.argsort(-demands_w, axis=-1, kind="stable")
-            rank_avail = None
         else:
             order = np.argsort(np.where(available, -demands_w, _INF),
                                axis=-1, kind="stable")
-            rank_avail = np.take_along_axis(available, order, axis=-1)
-        rank_demand = np.take_along_axis(demands_w, order, axis=-1)
+        # Rank-major (ranks, lanes) layout from here on: the flat index
+        # of each lane's r-th server, so every per-rank pass below runs
+        # down axis 0 across all lanes at once.
+        flat = (order + self._offsets).T
+        rank_demand = demands_w.take(flat)
 
-        over = ~within
-        took = np.zeros((n, s), dtype=bool)
-        for r in range(s):
-            take = over & (utility_draw > budget_w)
-            if rank_avail is not None:
-                take = take & rank_avail[:, r]
-            if not np.count_nonzero(take):
-                break  # monotone: no lane will take a later rank either
-            took[:, r] = take
-            # demand * mask is the demand exactly on taken lanes and an
-            # exact +0.0 elsewhere, and the draw never reaches -0.0, so
-            # the unmasked subtract matches the masked update bitwise.
-            utility_draw = utility_draw - rank_demand[:, r] * take
-        n_buffered = took.sum(axis=1, dtype=np.int64)
+        # The utility draw before each rank's cutoff test: the scalar's
+        # running ``utility_draw -= demand`` as a cumsum down
+        # ``[total; -d0; -d1; ...]`` (sequential; ``x + -d == x - d``).
+        draws = np.concatenate((total[None], -rank_demand)).cumsum(axis=0)
+        # A rank is taken while every earlier rank was and the draw is
+        # still over budget (and the server is available).  A lane
+        # within budget fails the test at rank 0 already; only lanes
+        # without pools need masking.
+        take = draws[:s] > budget_w
+        if np.count_nonzero(no_pools):
+            take[:, no_pools] = False
+        if available is None:
+            base = SOURCE_UTILITY
+        else:
+            rank_available = available.take(flat)
+            take &= rank_available
+            base = np.where(rank_available, SOURCE_UTILITY, SOURCE_NONE)
+        took = np.logical_and.accumulate(take, axis=0)
+        n_buffered = np.add.reduce(took, axis=0, dtype=np.int64)
+        utility_draw = draws[n_buffered, self._lanes]
 
-        n_sc = np.where(
-            ~use_sc, 0,
-            np.where(~use_battery, n_buffered,
-                     np.rint(r_lambda * n_buffered))).astype(np.int64)
+        # round(r * n_buffered) SC servers, with r forced to 0.0 without
+        # an SC pool and 1.0 without a battery pool (``rint`` of 0.0 and
+        # of 1.0 * n are exact).
+        n_sc = np.rint(np.where(use_sc, np.where(use_battery, r_lambda, 1.0),
+                                0.0) * n_buffered)
 
-        # Pool assembly in rank (descending-demand) order, matching the
-        # scalar's buffered-order accumulation of each pool total.
-        ranks_taken = int(np.count_nonzero(  # repro: noqa[RPR604] cross-lane rank count only bounds the assembly loop; per-lane took_r masks keep lanes independent
-            np.count_nonzero(took, axis=0)))
-        for r in range(ranks_taken):
-            took_r = took[:, r]
-            on_sc = took_r & (r < n_sc)
-            on_ba = took_r ^ on_sc  # took & ~(r < n_sc)
-            # Same exact demand-times-mask trick as the greedy cutoff.
-            sc_draw = sc_draw + rank_demand[:, r] * on_sc
-            battery_draw = battery_draw + rank_demand[:, r] * on_ba
-            lanes_sc = np.flatnonzero(on_sc)
-            if lanes_sc.size:
-                sources[lanes_sc, order[lanes_sc, r]] = SOURCE_SUPERCAP
-            lanes_ba = np.flatnonzero(on_ba)
-            if lanes_ba.size:
-                sources[lanes_ba, order[lanes_ba, r]] = SOURCE_BATTERY
+        # Pool assembly in rank (descending-demand) order: the first
+        # n_sc taken ranks go to the SC pool, the other taken ones to
+        # the battery pool; one flat scatter through ``order`` places
+        # every rank's source code.
+        on_sc = took & (self._ranks < n_sc)
+        sources = np.zeros((n, s), dtype=np.int8)
+        sources.put(flat, np.where(
+            on_sc, SOURCE_SUPERCAP, np.where(took, SOURCE_BATTERY, base)))
+        # Each pool total is a cumsum of demand * mask down the ranks,
+        # which is the demand on the pool's ranks and an exact +0.0
+        # elsewhere — the scalar's buffered-order accumulation.
+        sc_draw = (rank_demand * on_sc).cumsum(axis=0)[-1]
+        battery_draw = (rank_demand * (took ^ on_sc)).cumsum(axis=0)[-1]
 
         return BatchAssignment(sources, utility_draw, sc_draw,
                                battery_draw, n_buffered)

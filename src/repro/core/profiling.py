@@ -69,7 +69,9 @@ def pilot_runtimes(sc_factory: SupercapFactory,
     storage device is depleted, the other will take over the entire load
     immediately via power switches", Section 3.2).  A lane's runtime ends
     when its combined pools first fail to cover the deficit, or at
-    ``max_time_s``; finished lanes are masked out of later steps.
+    ``max_time_s``; finished lanes are masked out of later steps, and
+    once half of the current width has finished the live lanes are
+    packed into narrower arrays.
     """
     for __, __, deficit_w, r_lambda in lanes:
         if deficit_w <= 0:
@@ -89,47 +91,60 @@ def pilot_runtimes(sc_factory: SupercapFactory,
     ba_share = deficit - sc_share
     sc_on = sc_share > _EPSILON
     ba_on = ba_share > _EPSILON
-    n = len(lanes)
-    runtime = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
+    runtime = np.zeros(len(lanes))
+    # The packed lanes still running, by their index into ``lanes``.
+    ids = np.arange(len(lanes))
+    alive = np.ones(len(lanes), dtype=bool)
     elapsed = 0.0
-    while elapsed < max_time_s and alive.any():
+    while elapsed < max_time_s and ids.size:
         sc_unmet = supercap.telemetry.unmet_requests
         ba_unmet = battery.telemetry.unmet_requests
-        sc_achieved = supercap.discharge(alive & sc_on, sc_share, dt)
-        ba_achieved, __ = battery.discharge(alive & ba_on, ba_share, dt)
-        delivered = sc_achieved + ba_achieved
-        # The batched models count exactly the scalar ``limited`` flows
-        # as unmet requests (and nothing off their mask).
-        sc_limited = supercap.telemetry.unmet_requests != sc_unmet
-        ba_limited = battery.telemetry.unmet_requests != ba_unmet
+        delivered = (supercap.discharge(alive & sc_on, sc_share, dt)
+                     + battery.discharge(alive & ba_on, ba_share, dt))
+        short = alive & (deficit - delivered > 1e-6)
+        if np.count_nonzero(short):
+            # The batched models count exactly the scalar ``limited``
+            # flows as unmet requests (and nothing off their mask).
+            sc_limited = supercap.telemetry.unmet_requests != sc_unmet
+            ba_limited = battery.telemetry.unmet_requests != ba_unmet
+            # Fail-over: the other pool takes the remainder.  The four
+            # masks are the scalar elif chain (SC limited, battery
+            # limited, no SC share, no battery share), first match wins.
+            shortfall = deficit - delivered
+            sc_failed = short & sc_limited
+            rest = short & ~sc_failed
+            ba_failed = rest & ba_limited
+            rest = rest & ~ba_failed
+            sc_idle = rest & ~sc_on
+            ba_idle = rest & sc_on & ~ba_on
+            to_battery = sc_failed | ba_idle
+            to_supercap = ba_failed | sc_idle
+            if np.count_nonzero(to_battery):
+                delivered = delivered + battery.discharge(
+                    to_battery, np.where(to_battery, shortfall, 0.0), dt)
+            if np.count_nonzero(to_supercap):
+                delivered = delivered + supercap.discharge(
+                    to_supercap, np.where(to_supercap, shortfall, 0.0), dt)
+        battery.step_pending()
 
-        # Fail-over: the other pool takes the remainder.  The four masks
-        # are the scalar elif chain (SC limited, battery limited, no SC
-        # share, no battery share), first match wins.
-        shortfall = deficit - delivered
-        short = alive & (shortfall > 1e-6)
-        sc_failed = short & sc_limited
-        rest = short & ~sc_failed
-        ba_failed = rest & ba_limited
-        rest = rest & ~ba_failed
-        sc_idle = rest & ~sc_on
-        ba_idle = rest & sc_on & ~ba_on
-        to_battery = sc_failed | ba_idle
-        to_supercap = ba_failed | sc_idle
-        if to_battery.any():
-            achieved, __ = battery.discharge(
-                to_battery, np.where(to_battery, shortfall, 0.0), dt)
-            delivered = delivered + achieved
-        if to_supercap.any():
-            delivered = delivered + supercap.discharge(
-                to_supercap, np.where(to_supercap, shortfall, 0.0), dt)
-
-        failed = alive & (deficit - delivered > 1e-6)
-        runtime[failed] = elapsed
-        alive = alive & ~failed
+        # Only a lane short before fail-over can still be short after.
+        failed = short & (deficit - delivered > 1e-6)
+        if np.count_nonzero(failed):
+            runtime[ids[failed]] = elapsed
+            alive = alive & ~failed
+            live = np.count_nonzero(alive)
+            if 2 * live <= ids.size:
+                # Half the width has finished: pack the live lanes so
+                # the finished ones stop costing every later step.
+                keep = alive.nonzero()[0]
+                supercap.keep(keep)
+                battery.keep(keep)
+                ids, deficit, sc_share, ba_share, sc_on, ba_on = (
+                    ids[keep], deficit[keep], sc_share[keep],
+                    ba_share[keep], sc_on[keep], ba_on[keep])
+                alive = np.ones(live, dtype=bool)
         elapsed += dt
-    runtime[alive] = elapsed
+    runtime[ids[alive]] = elapsed
     return runtime.tolist()
 
 

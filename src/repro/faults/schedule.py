@@ -145,12 +145,12 @@ def load_schedule(path: Union[str, Path]) -> FaultSchedule:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise FaultSpecError(
             f"cannot read fault schedule {str(path)!r}: {error}") from error
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:
         raise FaultSpecError(
             f"invalid JSON in fault schedule {str(path)!r}: "
             f"{error}") from error

@@ -55,8 +55,8 @@ class BatchFabric:
             return
         target = _SOURCE_TO_POSITION[sources]
         diff = target != self.positions
-        if diff.any():
-            self.switches += np.count_nonzero(diff, axis=1)
+        if np.count_nonzero(diff):
+            self.switches += np.add.reduce(diff, axis=1, dtype=np.int64)
             self.positions = target
         self._last_sources = sources
 

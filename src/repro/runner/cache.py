@@ -64,7 +64,9 @@ class ResultCache:
             # corrupt entry too.
             if isinstance(payload, dict):
                 return result_from_dict(payload)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
+            # Unreadable, not UTF-8 or not JSON, or nested too deeply
+            # for the parser: a miss, and the run is recomputed.
             pass
         return None
 

@@ -231,7 +231,9 @@ class ScenarioServer:
         try:
             try:
                 payload = json.loads(request.body.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as error:
+            except (ValueError, RecursionError) as error:
+                # ValueError covers bad UTF-8 and bad JSON; nesting too
+                # deep for the parser raises RecursionError.
                 raise SpecError(
                     f"request body is not valid JSON: {error}") from error
             run_request = request_from_spec(payload)

@@ -57,8 +57,7 @@ from ..errors import BatchCompatibilityError
 from ..power.batch import BatchFabric, BatchIPDU
 from ..server.batch import (SOURCE_SUPERCAP, SOURCE_UTILITY, BatchCluster,
                             SOURCE_BATTERY)
-from ..storage.batch import (BatchBattery, BatchLifetime, BatchSupercap,
-                             max0)
+from ..storage.batch import BatchBattery, BatchLifetime, BatchSupercap
 from ..storage.battery import LeadAcidBattery
 from ..storage.supercap import Supercapacitor
 from .buffers import HybridBuffers
@@ -89,7 +88,9 @@ class BatchBuffers:
     absent lanes parked), and one :class:`BatchLifetime`, enforcing the
     scalar tick protocol: touched-pool tracking per tick, battery
     discharges feeding the lifetime model with the *post-step* SoC,
-    battery charges and rests extending its observation window.
+    battery charges and rests extending its observation window.  The
+    engine calls the battery's flows directly (``battery.discharge``,
+    ``battery.charge``): the battery tracks its own touched lanes.
     """
 
     def __init__(self, buffers: Sequence[HybridBuffers], dt: float) -> None:
@@ -98,10 +99,11 @@ class BatchBuffers:
         self.scalars = list(buffers)
         self.battery = BatchBattery([b.battery for b in buffers], dt)
         self.sc = BatchSupercap([b.sc for b in buffers], dt)
-        self.lifetime = BatchLifetime([b.lifetime for b in buffers])
+        self.lifetime = BatchLifetime([b.lifetime for b in buffers], dt)
+        # Battery discharges feed the lifetime model when their
+        # deferred KiBaM step lands (it reads the post-step SoC).
+        self.battery.wear = self.lifetime
         self.has_sc = self.sc.present
-        self._battery_touched = np.zeros(n, dtype=bool)
-        self._battery_discharged = np.zeros(n, dtype=bool)
         self._sc_touched = np.zeros(n, dtype=bool)
 
     # -- state views ---------------------------------------------------
@@ -121,33 +123,13 @@ class BatchBuffers:
     # -- tick protocol -------------------------------------------------
 
     def begin_tick(self) -> None:
-        self._battery_touched[:] = False
-        self._battery_discharged[:] = False
+        # The battery tracks its own touched lanes (its pending steps).
         self._sc_touched[:] = False
-
-    def discharge_battery(self, mask: np.ndarray, power_w: np.ndarray,
-                          dt: float) -> np.ndarray:
-        self._battery_touched |= mask
-        self._battery_discharged |= mask
-        achieved, current = self.battery.discharge(mask, power_w, dt)
-        # observe_flow reads the battery's SoC *after* the step.
-        self.lifetime.observe_discharge(mask, current, dt,
-                                        self.battery.soc())
-        return achieved
 
     def discharge_sc(self, mask: np.ndarray, power_w: np.ndarray,
                      dt: float) -> np.ndarray:
         self._sc_touched |= mask
         return self.sc.discharge(mask, power_w, dt)
-
-    def charge_battery(self, mask: np.ndarray, power_w: np.ndarray,
-                       dt: float, defer: bool = False) -> np.ndarray:
-        """Charge the battery pool; the lifetime model's idle
-        observation and (optionally) the KiBaM step are folded into
-        :meth:`settle`, which the tick protocol guarantees runs before
-        any battery state is read again."""
-        self._battery_touched |= mask
-        return self.battery.charge(mask, power_w, dt, defer_step=defer)
 
     def charge_sc(self, mask: np.ndarray, power_w: np.ndarray,
                   dt: float) -> np.ndarray:
@@ -155,19 +137,15 @@ class BatchBuffers:
         return self.sc.charge(mask, power_w, dt)
 
     def settle(self, dt: float) -> None:
-        rest_battery = ~self._battery_touched
-        any_rest = bool(np.count_nonzero(rest_battery))
-        self.battery.flush_step(rest_battery, any_rest)
-        if any_rest:
-            self.battery.telemetry.record_rest(rest_battery, dt)
+        # Every lane's battery steps once: the deferred flows land and
+        # the untouched lanes rest, in one well update.
+        touched, discharged = self.battery.step_all()
+        self.battery.telemetry.record_rest(~touched)
         # Idle observation covers charged *and* rested lanes — exactly
         # the complement of this tick's discharges (charge and
         # discharge lanes are disjoint within a tick), merged into one
         # add since nothing reads the model mid-tick.
-        if np.count_nonzero(self._battery_discharged):
-            self.lifetime.observe_idle(~self._battery_discharged, dt)
-        else:
-            self.lifetime.observe_idle(None, dt)
+        self.lifetime.observe_idle(~discharged, dt)
         self.sc.rest(self.has_sc & ~self._sc_touched, dt)
 
     # -- finalization --------------------------------------------------
@@ -355,10 +333,22 @@ class BatchSimulation:
             The scalar objects are *consumed*: their device state is
             advanced by the batch run exactly as their own ``run()``
             would have advanced it.
+        profiler: Optional tick profiler (``repro.perf.TickProfiler``)
+            for the whole batch, timing the scalar engine's six phases
+            (slot, schedule, actuate, buffers, charge, bookkeeping).
+            Injected, never imported: it reads the clock and nothing
+            else, so results are identical with or without it.  Its
+            report is :attr:`perf` after :meth:`run_all`; per-lane
+            results keep ``perf=None``, and per-scenario profilers are
+            still rejected.
     """
 
-    def __init__(self, sims: Sequence[Simulation]) -> None:
+    def __init__(self, sims: Sequence[Simulation],
+                 profiler=None) -> None:
         self.sims = list(sims)
+        self.profiler = profiler
+        #: The profiler's report for the last :meth:`run_all`.
+        self.perf = None
         if self.sims:
             _check_compatible(self.sims)
 
@@ -499,9 +489,12 @@ class BatchSimulation:
         block_start = block_end = 0
         stack = totals = budgets = np.zeros((0, n))
 
+        prof = self.profiler
         with np.errstate(all="ignore"):
             for tick in range(num_ticks):
                 now = tick * dt
+                if prof is not None:
+                    prof.begin_tick()
                 if tick == block_end:
                     # --- next input block ---------------------------------
                     if tick:
@@ -612,6 +605,8 @@ class BatchSimulation:
                                 plan_generic[plan.charge_order] = mask
                             mask[lane] = True
                     masks_stale = True
+                    if prof is not None:
+                        prof.mark("slot")
 
                 if masks_stale:
                     # Unreachable pools neither serve their cohort, nor
@@ -645,6 +640,8 @@ class BatchSimulation:
                     budget, r_lambda, use_sc=use_sc,
                     use_battery=use_battery, no_pools=no_pools,
                     total=total if all_on else None)
+                if prof is not None:
+                    prof.mark("schedule")
 
                 # The scalar engine skips relay applies only on ticks
                 # where an apply would move zero relays, so per-tick
@@ -687,6 +684,9 @@ class BatchSimulation:
                             unserved[lane] += freed
                             shed_events[lane] += len(shed_ids)
 
+                if prof is not None:
+                    prof.mark("actuate")
+
                 # --- buffer service -----------------------------------
                 buffers.begin_tick()
                 served = loss = None
@@ -697,6 +697,8 @@ class BatchSimulation:
                     if shortfall_unserved is not None:
                         unserved = (shortfall_unserved if unserved is None
                                     else unserved + shortfall_unserved)
+                if prof is not None:
+                    prof.mark("buffers")
 
                 # --- charging / restarts ------------------------------
                 charge_w = None
@@ -727,6 +729,8 @@ class BatchSimulation:
                             buffers, plan_generic, can_charge,
                             has_sc & sc_ok, ba_ok, headroom, dt)
                 buffers.settle(dt)
+                if prof is not None:
+                    prof.mark("charge")
 
                 # --- bookkeeping --------------------------------------
                 downtime_accrues = not cluster.all_on
@@ -752,7 +756,12 @@ class BatchSimulation:
                     rows_loss[row] = loss
                 if deficit is not None:
                     deficit_ticks += deficit
+                if prof is not None:
+                    prof.mark("bookkeeping")
 
+        if prof is not None:
+            prof.count("lanes", n)
+            self.perf = prof.report()
         fold(block_end - block_start)
         sc_usable = buffers.sc_usable_j()
         battery_usable = buffers.battery_usable_j()
@@ -873,36 +882,36 @@ class BatchSimulation:
         """
         n = buffers.n
         served = loss = sc_short = ba_short = None
-
+        # The shortfalls are clamped with np.maximum rather than
+        # Python's selection ``max(0.0, x)``: they only ever feed
+        # ``short > eps`` tests and the lanes passing them, so a zero's
+        # sign never shows.
         draw = assignment.sc_draw_w
         mask = draw > _EPSILON
         if np.count_nonzero(mask):
             achieved = buffers.discharge_sc(mask, draw / eff, dt)
-            delivered = achieved * eff
+            served = achieved * eff
             loss = achieved * one_m_eff
-            served = delivered
-            # Off-mask lanes read their (<= eps) raw draw here; every
-            # consumer gates on ``short > _EPSILON``, so no zeroing.
-            sc_short = max0(draw - delivered)
+            sc_short = np.maximum(draw - served, 0.0)
         draw = assignment.battery_draw_w
         mask = draw > _EPSILON
         if np.count_nonzero(mask):
-            achieved = buffers.discharge_battery(mask, draw / eff, dt)
+            achieved = buffers.battery.discharge(mask, draw / eff, dt)
             delivered = achieved * eff
             term = achieved * one_m_eff
             loss = term if loss is None else loss + term
             served = delivered if served is None else served + delivered
-            ba_short = max0(draw - delivered)
+            ba_short = np.maximum(draw - delivered, 0.0)
 
         if sc_short is not None:
             mask = fallback_ba & (sc_short > _EPSILON)
             if np.count_nonzero(mask):
-                achieved = buffers.discharge_battery(
+                achieved = buffers.battery.discharge(
                     mask, sc_short / eff, dt)
                 delivered = achieved * eff
                 loss = loss + achieved * one_m_eff
                 served = served + delivered
-                sc_short = max0(sc_short - delivered)
+                sc_short = np.maximum(sc_short - delivered, 0.0)
         if ba_short is not None:
             mask = fallback_sc & (ba_short > _EPSILON)
             if np.count_nonzero(mask):
@@ -910,7 +919,7 @@ class BatchSimulation:
                 delivered = achieved * eff
                 loss = loss + achieved * one_m_eff
                 served = served + delivered
-                ba_short = max0(ba_short - delivered)
+                ba_short = np.maximum(ba_short - delivered, 0.0)
 
         unserved = None
         for short, source in ((sc_short, SOURCE_SUPERCAP),
@@ -956,20 +965,19 @@ class BatchSimulation:
             if np.count_nonzero(active):
                 achieved = buffers.charge_sc(active, remaining, dt)
                 accepted = achieved
-                remaining = np.where(active, remaining - achieved,
-                                     remaining)
+                # achieved is an exact 0.0 off ``active``, where
+                # ``remaining - 0.0`` is ``remaining`` itself.
+                remaining = remaining - achieved
         if bat is not None:
             active = bat & eligible
             if accepted is not None:
                 active = active & (remaining > _EPSILON)
             if np.count_nonzero(active):
-                achieved = buffers.charge_battery(active, remaining, dt,
-                                                  defer=True)
+                achieved = buffers.battery.charge(active, remaining, dt)
                 accepted = (achieved if accepted is None
                             else accepted + achieved)
                 if sc_trail is not None:
-                    remaining = np.where(active, remaining - achieved,
-                                         remaining)
+                    remaining = remaining - achieved
         if sc_trail is not None:
             active = sc_trail & eligible & (remaining > _EPSILON)
             if np.count_nonzero(active):
@@ -987,8 +995,8 @@ class BatchSimulation:
         """Lane-parallel ``Simulation._charge_pools``.
 
         Generic per-group fallback for charge orders outside
-        :data:`_MERGEABLE_ORDERS`; battery steps are not deferred here
-        because an exotic order could revisit the battery.  ``sc_ok``
+        :data:`_MERGEABLE_ORDERS` (an order that revisits the battery
+        lands the first flow's deferred step before the second).  ``sc_ok``
         marks lanes with a present, reachable SC pool, ``ba_ok`` lanes
         with a reachable battery.
         """
@@ -1006,7 +1014,7 @@ class BatchSimulation:
                 if name == "sc":
                     achieved = buffers.charge_sc(active, remaining, dt)
                 else:
-                    achieved = buffers.charge_battery(active, remaining, dt)
+                    achieved = buffers.battery.charge(active, remaining, dt)
                 accepted = accepted + np.where(active, achieved, 0.0)
                 remaining = np.where(active, remaining - achieved,
                                      remaining)

@@ -199,6 +199,18 @@ class TestScheduleSpec:
         with pytest.raises(FaultSpecError, match="invalid JSON"):
             load_schedule(path)
 
+    def test_load_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(FaultSpecError, match="invalid JSON"):
+            load_schedule(path)
+
+    def test_load_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": 1, "events": [], "note": "\xff"}')
+        with pytest.raises(FaultSpecError, match="cannot read"):
+            load_schedule(path)
+
     def test_docstring_spec_format_parses(self):
         """The exact example from the module docstring must load."""
         payload = json.loads("""

@@ -103,6 +103,18 @@ class TestResultCache:
         (tmp_path / "ee" / f"{key}.json").write_text(text)
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize("raw", [
+        b"[" * 100_000 + b"]" * 100_000,   # deeper than the parser nests
+        b'{"format": 1, "scheme": "\xff"}',  # not UTF-8
+    ], ids=["deeply-nested", "non-utf8"])
+    def test_unparseable_entry_reads_as_miss(self, tmp_path, sample_result,
+                                             raw):
+        cache = ResultCache(tmp_path)
+        key = "ed" + "6" * 62
+        cache.put(key, sample_result)
+        (tmp_path / "ed" / f"{key}.json").write_bytes(raw)
+        assert cache.get(key) is None
+
     def test_wrong_format_version_reads_as_miss(self, tmp_path,
                                                 sample_result):
         cache = ResultCache(tmp_path)

@@ -93,6 +93,29 @@ def test_malformed_json_body_is_structured_400():
     run_async(scenario())
 
 
+@pytest.mark.parametrize("body", [
+    b"[" * 100_000 + b"]" * 100_000,   # deeper than the JSON parser nests
+    b'{"scheme": "HEB-D\xff"}',        # not UTF-8
+], ids=["deeply-nested", "non-utf8"])
+def test_unparseable_body_is_structured_400(body):
+    """A body the JSON parser cannot take (under MAX_BODY_BYTES) is a
+    400 SpecError answer, not a dropped connection."""
+    async def scenario():
+        service = make_service()
+        server = await start_server(service)
+        head = (f"POST /runs HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                f"Connection: close\r\n\r\n").encode("latin-1")
+        raw = await _raw_exchange(server.host, server.port, head + body)
+        status_line, _, rest = raw.partition(b"\r\n")
+        assert b"400" in status_line
+        payload = json.loads(rest.split(b"\r\n\r\n", 1)[1])
+        assert payload["error"]["code"] == "SpecError"
+        await server.close()
+
+    run_async(scenario())
+
+
 def test_malformed_request_line_is_400_and_close():
     async def scenario():
         service = make_service()

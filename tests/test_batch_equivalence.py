@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ControllerConfig, SimulationConfig
+from repro.errors import BatchCompatibilityError
 from repro.core import make_policy
 from repro.core.policies import POLICY_NAMES
 from repro.faults import (
@@ -56,6 +57,7 @@ from repro.runner import (
     plan_units,
 )
 from repro.sim import HybridBuffers, Simulation
+from repro.perf import TickProfiler
 from repro.sim.batch import BatchSimulation
 from repro.units import hours
 from repro.workloads import get_workload
@@ -200,6 +202,50 @@ class TestDegenerateBatches:
         units, positions = plan_units([_request("HEB-F", "WC")])
         assert [kind for kind, _ in units] == ["single"]
         assert positions == [[0]]
+
+
+# ----------------------------------------------------------------------
+# Batch-wide phase profiling
+# ----------------------------------------------------------------------
+
+PHASES = ("slot", "schedule", "actuate", "buffers", "charge", "bookkeeping")
+
+
+class TestBatchProfiler:
+    def _requests(self):
+        return [_request(scheme, workload, duration_h=0.25)
+                for scheme in POLICY_NAMES for workload in ("PR", "TS")]
+
+    def test_results_identical_with_and_without_profiler(self):
+        requests = self._requests()
+        batch = BatchSimulation(
+            [build_simulation(request) for request in requests],
+            profiler=TickProfiler())
+        profiled = batch.run_all()
+        _assert_identical(profiled, _batched(requests))
+        assert all(result.perf is None for result in profiled)
+
+        report = batch.perf
+        assert report is not None
+        assert report.ticks == build_simulation(
+            requests[0]).trace.num_samples
+        assert tuple(phase.name for phase in report.phases) == PHASES
+        assert abs(sum(phase.share for phase in report.phases)
+                   - 1.0) < 1e-9
+        assert dict(report.counters)["lanes"] == len(requests)
+
+    def test_unprofiled_batch_has_no_report(self):
+        batch = BatchSimulation(
+            [build_simulation(request) for request in self._requests()])
+        batch.run_all()
+        assert batch.perf is None
+
+    def test_per_scenario_profilers_still_rejected(self):
+        profiled = build_simulation(_request("HEB-D", "PR"))
+        profiled.profiler = TickProfiler()
+        with pytest.raises(BatchCompatibilityError, match="profiling"):
+            BatchSimulation([profiled,
+                             build_simulation(_request("HEB-D", "TS"))])
 
 
 # ----------------------------------------------------------------------
